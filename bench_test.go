@@ -615,9 +615,8 @@ func BenchmarkPredecode(b *testing.B) {
 }
 
 // BenchmarkExecLaneBlock measures raw executor throughput on one decoded
-// program: the legacy interpreting LaneMachine (64 lanes per pass) against
-// ExecMachine lane blocks of 1 and 4 words (64 and 256 lanes per pass).
-// vectors_per_sec counts completed lanes.
+// program: ExecMachine lane blocks of 1 and 4 words (64 and 256 lanes per
+// pass). vectors_per_sec counts completed lanes.
 func BenchmarkExecLaneBlock(b *testing.B) {
 	g, err := bitweaving.Build(bitweaving.Config{Bits: 8, Segments: 4})
 	if err != nil {
@@ -634,21 +633,6 @@ func BenchmarkExecLaneBlock(b *testing.B) {
 	}
 	rng := rand.New(rand.NewSource(19))
 
-	b.Run("lanemachine64", func(b *testing.B) {
-		words := make(map[string]uint64, len(ex.InputNames()))
-		for _, n := range ex.InputNames() {
-			words[n] = rng.Uint64()
-		}
-		m := sim.NewLaneMachine(t, sim.WordLanes)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.Reset(sim.WordLanes)
-			if err := m.Run(res.Program, words); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(sim.WordLanes)*float64(b.N)/b.Elapsed().Seconds(), "vectors_per_sec")
-	})
 	for _, blockWords := range []int{1, 4} {
 		b.Run(fmt.Sprintf("exec%dx64", blockWords), func(b *testing.B) {
 			m := ex.NewMachine(blockWords)

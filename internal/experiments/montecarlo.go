@@ -62,7 +62,7 @@ type mcCounts struct {
 // technology (NAND-lowered on STT-MRAM, as in Fig. 6) with fresh random
 // inputs every run. The runs are sharded into mcShards deterministic
 // random streams that execute on the campaign's worker pool, and each
-// shard packs its runs 64-per-word onto the SWAR lane machine (one
+// shard packs its runs 64-per-word onto a pre-decoded ExecMachine (one
 // program pass per 64 runs); shards own fixed lane ranges, so for a given
 // seed and run count the result is byte-identical whatever Parallelism is.
 func MonteCarlo(r *Runner, w Workload, tech device.Technology, arraySize, runs int, seed int64) (MCResult, error) {
@@ -148,8 +148,9 @@ func MonteCarlo(r *Runner, w Workload, tech device.Technology, arraySize, runs i
 // the golden reference evaluates lane-wise through an allocation-free
 // dfg.WordEvaluator. The group size stays at 64 runs and inputs draw
 // run-major in g.Inputs() order with one Int63 per group — the exact RNG
-// consumption of the LaneMachine-era shards, so tallies are byte-identical
-// to them and deterministic whatever the campaign's worker count.
+// consumption of the original interpreting shards, so tallies reproduce
+// earlier results and stay deterministic whatever the campaign's worker
+// count.
 func mcShard(ex *sim.Exec, g *dfg.Graph, places []layout.Place, slots []int, params device.Params, rng *rand.Rand, runs int) (mcCounts, error) {
 	var c mcCounts
 	ev := dfg.NewWordEvaluator(g)

@@ -86,6 +86,15 @@ func (in Instruction) IsCIMRead() bool { return in.Kind == KindRead && len(in.Ro
 // host bus.
 func (in Instruction) IsHostWrite() bool { return in.Kind == KindWrite && in.Bindings != nil }
 
+// Source returns the array whose row buffer a write-back reads: SrcArray for
+// a cross-array write, the instruction's own array otherwise.
+func (in Instruction) Source() int {
+	if in.HasSrcArray {
+		return in.SrcArray
+	}
+	return in.Array
+}
+
 // Validate checks the structural invariants of one instruction.
 func (in Instruction) Validate() error {
 	if in.Array < 0 {

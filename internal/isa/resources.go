@@ -53,10 +53,7 @@ func (in Instruction) AppendAccesses(bufCols int, reads, writes []Resource) ([]R
 			writes = append(writes, BufRes(in.Array, c))
 		}
 	case KindWrite:
-		src := in.Array
-		if in.HasSrcArray {
-			src = in.SrcArray
-		}
+		src := in.Source()
 		for _, c := range in.Cols {
 			if !in.IsHostWrite() {
 				reads = append(reads, BufRes(src, c))
@@ -170,10 +167,7 @@ func (in Instruction) AppendAccessIDs(s Space, reads, writes []int32) ([]int32, 
 			writes = append(writes, s.BufID(in.Array, c))
 		}
 	case KindWrite:
-		src := in.Array
-		if in.HasSrcArray {
-			src = in.SrcArray
-		}
+		src := in.Source()
 		host := in.IsHostWrite()
 		for _, c := range in.Cols {
 			if !host {

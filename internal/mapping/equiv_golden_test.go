@@ -96,6 +96,12 @@ func TestGoldenProgramsProveEquivalent(t *testing.T) {
 				if !rep.AllProven() {
 					t.Fatalf("golden not proven equivalent: %v", rep.Err())
 				}
+				// A faithful compile discharges by structural hash alone.
+				for _, o := range rep.Outputs {
+					if o.Method != "strash" {
+						t.Errorf("output %q proved by %s, want strash", o.Name, o.Method)
+					}
+				}
 			})
 		}
 	}

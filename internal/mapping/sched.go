@@ -761,10 +761,7 @@ func forwardLevels(p isa.Program, s isa.Space, h *hazardScratch, levels []int32)
 				h.aggWGen[a], h.aggW[a] = h.gen, lvl
 			}
 		case isa.KindWrite:
-			src := in.Array
-			if in.HasSrcArray {
-				src = in.SrcArray
-			}
+			src := in.Source()
 			host := in.IsHostWrite()
 			row := int32(in.Rows[0])
 			for _, c := range in.Cols {
@@ -899,10 +896,7 @@ func backwardSlack(p isa.Program, s isa.Space, h *hazardScratch, levels, slack [
 				h.aggWGen[a], h.aggW[a] = h.gen, l
 			}
 		case isa.KindWrite:
-			src := in.Array
-			if in.HasSrcArray {
-				src = in.SrcArray
-			}
+			src := in.Source()
 			host := in.IsHostWrite()
 			row := int32(in.Rows[0])
 			for _, c := range in.Cols {

@@ -2,12 +2,17 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 
 	"sherlock/internal/device"
 	"sherlock/internal/layout"
 )
+
+// WordLanes is the lane width of one block word: bit l of a word carries
+// lane l, so one word holds 64 independent input vectors.
+const WordLanes = 64
 
 // DefaultBlockWords is the lane-block width used by callers that want more
 // data per decoded pass than one word: 4 words = 256 lanes.
@@ -76,19 +81,9 @@ func (m *ExecMachine) Lanes() int { return m.lanes }
 // reusing every allocation. Fault state and the input scratch clear; cell
 // payloads stay (the decoded program cannot observe them).
 func (m *ExecMachine) Reset(lanes int) {
-	if lanes < 1 || lanes > m.MaxLanes() {
-		panic(fmt.Sprintf("sim: lane count %d outside [1,%d]", lanes, m.MaxLanes()))
-	}
-	m.lanes = lanes
-	m.activeWords = (lanes + WordLanes - 1) / WordLanes
-	if rem := lanes % WordLanes; rem == 0 {
-		m.lastMask = ^uint64(0)
-	} else {
-		m.lastMask = uint64(1)<<uint(rem) - 1
-	}
+	m.setLanes(lanes)
 	clear(m.flipCounts)
 	clear(m.in)
-	m.faults = nil
 }
 
 // setLanes retargets the active-lane geometry without Reset's scratch
@@ -102,11 +97,7 @@ func (m *ExecMachine) setLanes(lanes int) {
 	}
 	m.lanes = lanes
 	m.activeWords = (lanes + WordLanes - 1) / WordLanes
-	if rem := lanes % WordLanes; rem == 0 {
-		m.lastMask = ^uint64(0)
-	} else {
-		m.lastMask = uint64(1)<<uint(rem) - 1
-	}
+	m.lastMask = ^uint64(0) >> uint(m.activeWords*WordLanes-lanes)
 	m.faults = nil
 }
 
@@ -137,8 +128,9 @@ func (m *ExecMachine) InputBlock() []uint64 { return m.in }
 
 // EnableFaultInjection arms the geometric-skip sampler for the next Run.
 // The per-class P_DF values are resolved once here instead of once per
-// column, and the (op, rows)-class skip streams share one RNG in the exact
-// draw order of LaneMachine — same seed, same fault pattern, bit for bit.
+// column. The (op, rows)-class skip streams share one RNG, consumed in
+// (instruction, column, block word) order — same seed, same fault pattern,
+// bit for bit, at any block width.
 func (m *ExecMachine) EnableFaultInjection(p device.Params, seed int64) {
 	f := &m.fm
 	n := len(m.e.classes)
@@ -305,11 +297,11 @@ func (m *ExecMachine) shift(array, dist int) {
 	}
 }
 
-// RunMap is Run with name-keyed input words (bit l = lane l's value), the
-// LaneMachine-compatible entry: it performs the unbound-input check the
-// interpreting machines do at the point of use, reporting the first
-// instruction that needs a missing name with the same message. One word
-// addresses at most 64 lanes, so the machine must be Reset to <= 64.
+// RunMap is Run with name-keyed input words (bit l = lane l's value): it
+// performs the unbound-input check the scalar Machine does at the point of
+// use, reporting the first instruction that needs a missing name with the
+// same message. One word addresses at most 64 lanes, so the machine must be
+// Reset to <= 64.
 func (m *ExecMachine) RunMap(inputs map[string]uint64) error {
 	if m.lanes > WordLanes {
 		panic(fmt.Sprintf("sim: RunMap addresses %d lanes through single words", m.lanes))
@@ -317,14 +309,14 @@ func (m *ExecMachine) RunMap(inputs map[string]uint64) error {
 	e := m.e
 	for _, u := range e.bindUses {
 		if _, ok := inputs[e.inputNames[u.slot]]; !ok {
-			in := e.prog[u.instr]
+			in := e.walk.Prog[u.instr]
 			return fmt.Errorf("sim: instruction %d (%s): unbound input %q", u.instr, in, e.inputNames[u.slot])
 		}
 	}
 	clear(m.in)
 	// Every name lands in its own slot word, so order is immaterial.
 	for name, w := range inputs { //sherlock:allow rangemap
-		if s, ok := e.slots[name]; ok {
+		if s, ok := e.walk.Slots[name]; ok {
 			m.in[s*m.block] = w
 		}
 	}
@@ -334,23 +326,14 @@ func (m *ExecMachine) RunMap(inputs map[string]uint64) error {
 // ReadOutWord returns block word b of the stored lanes at a cell (bit l =
 // lane 64b+l's value), failing when the cell was never written.
 func (m *ExecMachine) ReadOutWord(p layout.Place, b int) (uint64, error) {
-	e := m.e
 	if b < 0 || b >= m.activeWords {
 		return 0, fmt.Errorf("sim: readout word %d outside %d active words", b, m.activeWords)
 	}
-	if p.Array < 0 || p.Array >= e.space.Arrays ||
-		p.Col < 0 || p.Col >= e.space.BufCols ||
-		p.Row < 0 || p.Row >= e.space.Rows {
-		// Outside the decoded space nothing was ever written; the target
-		// bound check folds into the same undefined-cell answer the
-		// interpreting machines give.
-		return 0, fmt.Errorf("sim: readout of undefined cell %v", p)
+	base, err := m.cellBlock(p)
+	if err != nil {
+		return 0, err
 	}
-	off := e.cellOff(p.Array, p.Col, p.Row)
-	if !e.defined[off] {
-		return 0, fmt.Errorf("sim: readout of undefined cell %v", p)
-	}
-	return m.cells[off*m.block+b] & m.MaskWord(b), nil
+	return m.cells[base+b] & m.MaskWord(b), nil
 }
 
 // OutWords is the bulk counterpart of ReadOutWord for streaming readout:
@@ -359,31 +342,40 @@ func (m *ExecMachine) ReadOutWord(p layout.Place, b int) (uint64, error) {
 // zero) and returns how many words it wrote. The bounds and definedness
 // checks run once per call instead of once per word.
 func (m *ExecMachine) OutWords(p layout.Place, dst []uint64) (int, error) {
-	e := m.e
 	aw := m.activeWords
 	if len(dst) < aw {
 		return 0, fmt.Errorf("sim: readout buffer has %d words, need %d", len(dst), aw)
 	}
-	if p.Array < 0 || p.Array >= e.space.Arrays ||
-		p.Col < 0 || p.Col >= e.space.BufCols ||
-		p.Row < 0 || p.Row >= e.space.Rows {
-		return 0, fmt.Errorf("sim: readout of undefined cell %v", p)
+	base, err := m.cellBlock(p)
+	if err != nil {
+		return 0, err
 	}
-	off := e.cellOff(p.Array, p.Col, p.Row)
-	if !e.defined[off] {
-		return 0, fmt.Errorf("sim: readout of undefined cell %v", p)
-	}
-	base := off * m.block
 	copy(dst[:aw], m.cells[base:base+aw])
 	dst[aw-1] &= m.lastMask
 	return aw, nil
 }
 
-// execFaultModel is the geometric-skip sampler of laneFaultModel with the
-// per-column map lookups hoisted out: class -> P_DF and class -> skip state
-// are dense arrays indexed by the decode-time class table, and the P_DF
-// resolution happens once per EnableFaultInjection instead of once per
-// column. The RNG consumption order is identical to laneFaultModel's.
+// cellBlock returns the offset of p's lane block in m.cells, failing when
+// the program leaves p undefined. Outside the decoded space nothing was
+// ever written, so the target bound check folds into the same answer.
+func (m *ExecMachine) cellBlock(p layout.Place) (int, error) {
+	w := m.e.walk
+	off, ok := w.CellAt(p)
+	if !ok || !w.CellDef[off] {
+		return 0, fmt.Errorf("sim: readout of undefined cell %v", p)
+	}
+	return off * m.block, nil
+}
+
+// execFaultModel injects sense-decision faults with a geometric-skip
+// (binomial-thinning) sampler. Decisions of one (op, rows) reliability class
+// form a stream in execution order; instead of one Bernoulli draw per
+// decision, the model draws the gap to the next flip from Geom(P_DF) and
+// skips that many decisions. The two processes are identically distributed,
+// but at P_DF ~ 1e-6 the geometric form consults the RNG roughly once per
+// million decisions instead of a million times. Class -> P_DF and class ->
+// skip state are dense arrays indexed by the decode-time class table, and
+// P_DF resolves once per EnableFaultInjection instead of once per column.
 type execFaultModel struct {
 	rng *rand.Rand
 	pdf []float64
@@ -391,8 +383,9 @@ type execFaultModel struct {
 	has []bool
 }
 
-// flips returns the fault word for `lanes` decisions of one sense class,
-// consuming the class's skip stream exactly as laneFaultModel.flips does.
+// flips returns the fault word for `lanes` decisions of one sense class:
+// the decisions are consumed from the class's skip stream, and bit l is set
+// iff lane l's decision flips.
 func (f *execFaultModel) flips(cls, lanes int) uint64 {
 	pdf := f.pdf[cls]
 	if pdf <= 0 {
@@ -413,4 +406,21 @@ func (f *execFaultModel) flips(cls, lanes int) uint64 {
 	}
 	f.rem[cls] = rem - int64(lanes)
 	return w
+}
+
+// maxGap caps geometric gaps so skip arithmetic cannot overflow; at any
+// realistic decision count a gap this large means "never flips".
+const maxGap = int64(1) << 60
+
+// geomGap draws the number of un-flipped decisions preceding the next flip.
+func geomGap(rng *rand.Rand, p float64) int64 {
+	if p >= 1 {
+		return 0
+	}
+	// Inversion sampling: floor(log(1-U)/log(1-p)) ~ Geom(p), U in [0,1).
+	g := math.Log1p(-rng.Float64()) / math.Log1p(-p)
+	if !(g < float64(maxGap)) { // also catches NaN/Inf
+		return maxGap
+	}
+	return int64(g)
 }

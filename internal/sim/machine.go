@@ -219,10 +219,7 @@ func (m *Machine) stepShift(in isa.Instruction) error {
 	}
 	n := m.target.Cols
 	nb, nd := m.shiftBuf, m.shiftDef
-	d := in.ShiftBy
-	if !in.Right {
-		d = -d
-	}
+	d := in.ShiftDist()
 	for c := 0; c < n; c++ {
 		srcCol := c - d
 		if srcCol >= 0 && srcCol < n {

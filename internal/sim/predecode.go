@@ -2,25 +2,25 @@ package sim
 
 // Predecode splits simulation into a one-time program transformation and a
 // repeated bulk execution, the way SIMDRAM-style frameworks separate
-// "generate the μop sequence" from "issue it over the data width". The
-// interpreting machines (Machine, LaneMachine) re-run Instruction.Validate,
-// re-check bounds, re-hash input names and re-walk [][][] structures on
-// every pass; a Monte-Carlo campaign or a RunBatch sweep executes the SAME
-// program 10^4..10^6 times, so all of that work is loop-invariant. Exec
-// hoists it: one decode pass validates everything, resolves every cell and
-// row-buffer access to a flat offset, binds input names to integer slots,
-// and fuses the program into a flat []microOp stream whose inner loop is a
-// tight switch with no maps, no validation and no nested indexing.
+// "generate the μop sequence" from "issue it over the data width". An
+// interpreter re-runs Instruction.Validate, re-checks bounds, re-hashes input
+// names and re-walks nested structures on every pass; a Monte-Carlo campaign
+// or a RunBatch sweep executes the SAME program 10^4..10^6 times, so all of
+// that work is loop-invariant. Exec hoists it: one strict walk (isa.Walker)
+// validates everything, resolves every cell and row-buffer access to a flat
+// offset and binds input names to integer slots, and the decoder fuses the
+// walk's events into a flat []microOp stream whose inner loop is a tight
+// switch with no maps, no validation and no nested indexing.
 //
 // Strict-mode definedness resolves at decode time too: the program is
 // lane-uniform and every read either is dominated by a same-run write or is
-// an error, so "read of undefined cell" cannot depend on the data. The
+// an error, so an undefined read cannot depend on the data. The
 // executor therefore carries no defined masks at all — which also makes
-// ExecMachine.Reset O(1) in the cell count.
+// ExecMachine.Reset O(1) in the cell count. The static verifier and the
+// translation validator run the same walk, so all three agree on every
+// verdict and error by construction; sim.Machine is the independent check.
 
 import (
-	"fmt"
-
 	"sherlock/internal/isa"
 	"sherlock/internal/layout"
 	"sherlock/internal/logic"
@@ -54,8 +54,8 @@ type microOp struct {
 }
 
 // bindUse records one host-write column in (instruction, column) order, so
-// the unbound-input check can report the same instruction the interpreting
-// machines would have failed at.
+// the unbound-input check can report the same instruction the scalar
+// Machine would have failed at.
 type bindUse struct {
 	instr int32
 	slot  int32
@@ -64,17 +64,14 @@ type bindUse struct {
 // Exec is a program pre-decoded for one target: immutable after Predecode
 // and safe for concurrent use by any number of ExecMachines.
 type Exec struct {
-	target layout.Target
-	prog   isa.Program
-	space  isa.Space
+	// walk is the finished strict walk: geometry, flat offsets, final cell
+	// definedness (for readout) and the input slot table.
+	walk *isa.Walker
 
-	// Flat state geometry. Cells use the program's dense resource space
-	// with rows contiguous per column: cellOff(a,c,r) = (a*BufCols+c)*Rows+r,
-	// so a fold walks a stride-1 range. The row buffer must span the full
-	// target width (not space.BufCols): shifts can carry live data past the
-	// widest directly-addressed column and back.
+	// Flat state sizes, per the walk's layout. The row buffer spans the full
+	// target width: bufCols = target.Cols words per array.
 	numCells int
-	bufCols  int // row-buffer words per array = target.Cols
+	bufCols  int
 	numBuf   int
 
 	ops     []microOp
@@ -85,274 +82,157 @@ type Exec struct {
 	classes []isa.SenseClass
 
 	inputNames []string // slot -> name, program first-use order
-	slots      map[string]int
 	bindUses   []bindUse
-
-	defined []bool // final cell definedness, for readout
 }
 
 // Predecode validates the program against the target and compiles it into
-// an executor. Every error the interpreting machines could raise at run
+// an executor. Every strict-mode error the scalar Machine could raise at run
 // time — except unbound inputs, which depend on the caller's binding map —
 // is raised here instead, with an identical message.
 func Predecode(p isa.Program, t layout.Target) (*Exec, error) {
-	if err := t.Validate(); err != nil {
+	w, err := isa.NewWalker(p, t)
+	if err != nil {
 		return nil, err
 	}
-	// Clamp the space to the target. Any coordinate beyond the target fails
-	// decoding below with the machines' exact error; the clamp only keeps a
-	// hostile coordinate from inflating the decode-time allocations first.
-	sp := p.ResourceSpace().Clamp(t.Arrays, t.Cols, t.Rows)
-	e := &Exec{
-		target:   t,
-		prog:     p,
-		space:    sp,
-		numCells: sp.Arrays * sp.BufCols * sp.Rows,
-		bufCols:  t.Cols,
-		numBuf:   sp.Arrays * t.Cols,
-		slots:    make(map[string]int),
+	d := &decoder{
+		e: &Exec{
+			walk:     w,
+			numCells: len(w.CellDef),
+			bufCols:  t.Cols,
+			numBuf:   len(w.BufDef),
+		},
+		w:        w,
+		classIdx: make(map[isa.SenseClass]int32),
 	}
-	cellDef := make([]bool, e.numCells)
-	bufDef := make([]bool, e.numBuf)
-	classIdx := make(map[isa.SenseClass]int32)
-	for i, in := range p {
-		if err := in.Validate(); err != nil {
-			return nil, decodeErr(i, in, err)
-		}
-		var err error
-		switch in.Kind {
-		case isa.KindRead:
-			err = e.decodeRead(in, cellDef, bufDef, classIdx)
-		case isa.KindWrite:
-			err = e.decodeWrite(i, in, cellDef, bufDef)
-		case isa.KindShift:
-			err = e.decodeShift(in, bufDef)
-		case isa.KindNot:
-			err = e.decodeNot(in, bufDef)
-		}
-		if err != nil {
-			return nil, decodeErr(i, in, err)
-		}
+	if err := w.Run(d); err != nil {
+		return nil, err
 	}
-	e.defined = cellDef
-	return e, nil
+	d.e.inputNames = w.Inputs
+	return d.e, nil
 }
 
-func decodeErr(i int, in isa.Instruction, err error) error {
-	return fmt.Errorf("sim: instruction %d (%s): %w", i, in, err)
+// decoder is the strict walk's micro-op emitter.
+type decoder struct {
+	e        *Exec
+	w        *isa.Walker
+	classIdx map[isa.SenseClass]int32
+
+	// Per-instruction state: the open (still growing) micro-op, its fold op,
+	// and the instruction's activated-row range in rowOffs.
+	open         int
+	runOp        logic.Op
+	rows0, rows1 int32
 }
 
-func (e *Exec) cellOff(a, c, r int) int { return (a*e.space.BufCols+c)*e.space.Rows + r }
-func (e *Exec) bufOff(a, c int) int     { return a*e.bufCols + c }
+// Fault stops the walk at the first strict error.
+func (d *decoder) Fault(isa.StrictError) bool { return false }
 
-func (e *Exec) checkPlace(array, col, row int) error {
-	if array < 0 || array >= e.target.Arrays {
-		return fmt.Errorf("sim: array %d outside target", array)
+func (d *decoder) Instr(_ int, in *isa.Instruction) {
+	e := d.e
+	d.open = -1
+	switch in.Kind {
+	case isa.KindRead:
+		d.rows0 = int32(len(e.rowOffs))
+		for _, r := range in.Rows {
+			e.rowOffs = append(e.rowOffs, int32(r))
+		}
+		d.rows1 = int32(len(e.rowOffs))
+	case isa.KindWrite:
+		kind := uopBufWrite
+		if in.IsHostWrite() {
+			kind = uopHostWrite
+		}
+		d.openOp(microOp{kind: kind, class: -1})
+	case isa.KindNot:
+		d.openOp(microOp{kind: uopNot, class: -1})
+	case isa.KindShift:
+		e.ops = append(e.ops, microOp{kind: uopShift, class: -1,
+			array: int32(in.Array), dist: int32(in.ShiftDist())})
 	}
-	if col < 0 || col >= e.target.Cols {
-		return fmt.Errorf("sim: column %d outside target", col)
-	}
-	if row < 0 || row >= e.target.Rows {
-		return fmt.Errorf("sim: row %d outside target", row)
-	}
-	return nil
 }
 
-func (e *Exec) classFor(classIdx map[isa.SenseClass]int32, op logic.Op, rows int) int32 {
+// openOp starts a scatter/gather micro-op at the current end of the operand
+// pools.
+func (d *decoder) openOp(op microOp) {
+	op.p0 = int32(len(d.e.srcs))
+	d.e.ops = append(d.e.ops, op)
+	d.open = len(d.e.ops) - 1
+}
+
+// emit appends one operand pair to the open micro-op.
+func (d *decoder) emit(src, dst int) {
+	e := d.e
+	e.srcs = append(e.srcs, int32(src))
+	e.dsts = append(e.dsts, int32(dst))
+	e.ops[d.open].p1 = int32(len(e.srcs))
+}
+
+// Read fuses runs of ADJACENT same-op columns into one micro-op. Splitting
+// on every op change (not grouping all columns of an op) keeps the fault
+// sampler's per-column draw order identical to a column-by-column pass: all
+// sense classes share one RNG, so cross-class call order is part of the
+// determinism contract.
+func (d *decoder) Read(_ int, in *isa.Instruction, ci int, _ bool) {
+	a, c := in.Array, in.Cols[ci]
+	if !in.IsCIMRead() {
+		if d.open < 0 {
+			d.openOp(microOp{kind: uopCopy, class: -1})
+		}
+		d.emit(d.w.CellOff(a, c, in.Rows[0]), d.w.BufOff(a, c))
+		return
+	}
+	if op := in.Ops[ci]; d.open < 0 || op != d.runOp {
+		kind, inv := foldKind(op)
+		d.openOp(microOp{
+			kind: kind, inv: inv,
+			class: d.classFor(op, len(in.Rows)),
+			rows0: d.rows0, rows1: d.rows1,
+		})
+		d.runOp = op
+	}
+	d.emit(d.w.CellOff(a, c, 0), d.w.BufOff(a, c))
+}
+
+func (d *decoder) Write(instr int, in *isa.Instruction, ci int, slot int) {
+	a, c := in.Array, in.Cols[ci]
+	dst := d.w.CellOff(a, c, in.Rows[0])
+	if slot >= 0 {
+		d.e.bindUses = append(d.e.bindUses, bindUse{instr: int32(instr), slot: int32(slot)})
+		d.emit(slot, dst)
+		return
+	}
+	d.emit(d.w.BufOff(in.Source(), c), dst)
+}
+
+// Not mirrors its target into both pools: srcs and dsts stay in lockstep
+// across every micro-op.
+func (d *decoder) Not(_ int, in *isa.Instruction, ci int) {
+	off := d.w.BufOff(in.Array, in.Cols[ci])
+	d.emit(off, off)
+}
+
+func (d *decoder) classFor(op logic.Op, rows int) int32 {
 	cls := isa.SenseClass{Op: op, Rows: rows}
-	if id, ok := classIdx[cls]; ok {
+	if id, ok := d.classIdx[cls]; ok {
 		return id
 	}
-	id := int32(len(e.classes))
-	e.classes = append(e.classes, cls)
-	classIdx[cls] = id
+	id := int32(len(d.e.classes))
+	d.e.classes = append(d.e.classes, cls)
+	d.classIdx[cls] = id
 	return id
 }
 
-func (e *Exec) slotFor(name string) int {
-	if s, ok := e.slots[name]; ok {
-		return s
-	}
-	s := len(e.inputNames)
-	e.inputNames = append(e.inputNames, name)
-	e.slots[name] = s
-	return s
-}
-
-func foldKind(op logic.Op) (uint8, bool, error) {
+// foldKind maps a sense op (the walk admits no other) to its fold and
+// inversion.
+func foldKind(op logic.Op) (uint8, bool) {
 	switch op {
-	case logic.And:
-		return uopFoldAnd, false, nil
-	case logic.Nand:
-		return uopFoldAnd, true, nil
-	case logic.Or:
-		return uopFoldOr, false, nil
-	case logic.Nor:
-		return uopFoldOr, true, nil
-	case logic.Xor:
-		return uopFoldXor, false, nil
-	case logic.Xnor:
-		return uopFoldXor, true, nil
+	case logic.And, logic.Nand:
+		return uopFoldAnd, op == logic.Nand
+	case logic.Or, logic.Nor:
+		return uopFoldOr, op == logic.Nor
 	}
-	return 0, false, fmt.Errorf("unsupported CIM op %v", op)
+	return uopFoldXor, op == logic.Xnor
 }
-
-func (e *Exec) decodeRead(in isa.Instruction, cellDef, bufDef []bool, classIdx map[isa.SenseClass]int32) error {
-	a := in.Array
-	if a >= e.target.Arrays {
-		return fmt.Errorf("array %d outside target", a)
-	}
-	for _, r := range in.Rows {
-		if err := e.checkPlace(a, 0, r); err != nil {
-			return err
-		}
-	}
-	cim := in.IsCIMRead()
-	rows0 := int32(len(e.rowOffs))
-	for _, r := range in.Rows {
-		e.rowOffs = append(e.rowOffs, int32(r))
-	}
-	rows1 := int32(len(e.rowOffs))
-	// Fuse runs of ADJACENT same-op columns into one micro-op. Splitting on
-	// every op change (not grouping all columns of an op) keeps the fault
-	// sampler's per-column draw order identical to the interpreting
-	// machines: all sense classes share one RNG, so cross-class call order
-	// is part of the determinism contract.
-	open := -1
-	var runOp logic.Op
-	for ci, c := range in.Cols {
-		if err := e.checkPlace(a, c, in.Rows[0]); err != nil {
-			return err
-		}
-		if cim {
-			for _, r := range in.Rows {
-				if !cellDef[e.cellOff(a, c, r)] {
-					return fmt.Errorf("read of undefined cell [%d][%d][%d]", a, c, r)
-				}
-			}
-			op := in.Ops[ci]
-			if open < 0 || op != runOp {
-				kind, inv, err := foldKind(op)
-				if err != nil {
-					return err
-				}
-				e.ops = append(e.ops, microOp{
-					kind: kind, inv: inv,
-					class: e.classFor(classIdx, op, len(in.Rows)),
-					p0:    int32(len(e.srcs)),
-					rows0: rows0, rows1: rows1,
-				})
-				open, runOp = len(e.ops)-1, op
-			}
-			e.srcs = append(e.srcs, int32(e.cellOff(a, c, 0)))
-		} else {
-			r := in.Rows[0]
-			if !cellDef[e.cellOff(a, c, r)] {
-				return fmt.Errorf("read of undefined cell [%d][%d][%d]", a, c, r)
-			}
-			if open < 0 {
-				e.ops = append(e.ops, microOp{kind: uopCopy, class: -1, p0: int32(len(e.srcs))})
-				open = len(e.ops) - 1
-			}
-			e.srcs = append(e.srcs, int32(e.cellOff(a, c, r)))
-		}
-		e.dsts = append(e.dsts, int32(e.bufOff(a, c)))
-		e.ops[open].p1 = int32(len(e.srcs))
-		bufDef[e.bufOff(a, c)] = true
-	}
-	return nil
-}
-
-func (e *Exec) decodeWrite(instr int, in isa.Instruction, cellDef, bufDef []bool) error {
-	a, row := in.Array, in.Rows[0]
-	if a >= e.target.Arrays {
-		return fmt.Errorf("array %d outside target", a)
-	}
-	src := a
-	if in.HasSrcArray {
-		src = in.SrcArray
-		if src >= e.target.Arrays {
-			return fmt.Errorf("source array %d outside target", src)
-		}
-	}
-	kind := uopBufWrite
-	if in.IsHostWrite() {
-		kind = uopHostWrite
-	}
-	e.ops = append(e.ops, microOp{kind: kind, class: -1, p0: int32(len(e.srcs))})
-	oi := len(e.ops) - 1
-	for ci, c := range in.Cols {
-		if err := e.checkPlace(a, c, row); err != nil {
-			return err
-		}
-		if kind == uopHostWrite {
-			slot := e.slotFor(in.Bindings[ci])
-			e.bindUses = append(e.bindUses, bindUse{instr: int32(instr), slot: int32(slot)})
-			e.srcs = append(e.srcs, int32(slot))
-		} else {
-			if !bufDef[e.bufOff(src, c)] {
-				return fmt.Errorf("write from undefined row-buffer bit [%d][%d]", src, c)
-			}
-			e.srcs = append(e.srcs, int32(e.bufOff(src, c)))
-		}
-		off := e.cellOff(a, c, row)
-		e.dsts = append(e.dsts, int32(off))
-		cellDef[off] = true
-	}
-	e.ops[oi].p1 = int32(len(e.srcs))
-	return nil
-}
-
-func (e *Exec) decodeShift(in isa.Instruction, bufDef []bool) error {
-	a := in.Array
-	if a >= e.target.Arrays {
-		return fmt.Errorf("array %d outside target", a)
-	}
-	d := in.ShiftBy
-	if !in.Right {
-		d = -d
-	}
-	// Definedness moves with the data; columns shifted in from outside are
-	// undefined again.
-	n := e.bufCols
-	region := bufDef[a*n : a*n+n]
-	old := append([]bool(nil), region...)
-	for c := 0; c < n; c++ {
-		if s := c - d; s >= 0 && s < n {
-			region[c] = old[s]
-		} else {
-			region[c] = false
-		}
-	}
-	e.ops = append(e.ops, microOp{kind: uopShift, class: -1, array: int32(a), dist: int32(d)})
-	return nil
-}
-
-func (e *Exec) decodeNot(in isa.Instruction, bufDef []bool) error {
-	a := in.Array
-	if a >= e.target.Arrays {
-		return fmt.Errorf("array %d outside target", a)
-	}
-	e.ops = append(e.ops, microOp{kind: uopNot, class: -1, p0: int32(len(e.srcs))})
-	oi := len(e.ops) - 1
-	for _, c := range in.Cols {
-		if c >= e.bufCols {
-			return fmt.Errorf("column %d outside target", c)
-		}
-		if !bufDef[e.bufOff(a, c)] {
-			return fmt.Errorf("NOT of undefined row-buffer bit [%d][%d]", a, c)
-		}
-		// srcs and dsts stay in lockstep across every micro-op, so NOT
-		// mirrors its target into both pools.
-		e.srcs = append(e.srcs, int32(e.bufOff(a, c)))
-		e.dsts = append(e.dsts, int32(e.bufOff(a, c)))
-	}
-	e.ops[oi].p1 = int32(len(e.srcs))
-	return nil
-}
-
-// Target returns the fabric the program was decoded against.
-func (e *Exec) Target() layout.Target { return e.target }
 
 // NumSlots returns the number of distinct host-input slots.
 func (e *Exec) NumSlots() int { return len(e.inputNames) }
@@ -364,7 +244,7 @@ func (e *Exec) InputNames() []string { return append([]string(nil), e.inputNames
 // Slot resolves an input name to its slot, reporting whether the program
 // consumes it.
 func (e *Exec) Slot(name string) (int, bool) {
-	s, ok := e.slots[name]
+	s, ok := e.walk.Slots[name]
 	return s, ok
 }
 
@@ -372,17 +252,9 @@ func (e *Exec) Slot(name string) (int, bool) {
 // decode-time definedness that gates ReadOutWord. Places outside the
 // decoded space are simply undefined.
 func (e *Exec) Defined(p layout.Place) bool {
-	if p.Array < 0 || p.Array >= e.space.Arrays ||
-		p.Col < 0 || p.Col >= e.space.BufCols ||
-		p.Row < 0 || p.Row >= e.space.Rows {
-		return false
-	}
-	return e.defined[e.cellOff(p.Array, p.Col, p.Row)]
+	off, ok := e.walk.CellAt(p)
+	return ok && e.walk.CellDef[off]
 }
 
 // MicroOps returns the decoded micro-op count (fused instruction steps).
 func (e *Exec) MicroOps() int { return len(e.ops) }
-
-// SenseClasses returns how many distinct (op, rows) fault classes the
-// program exercises.
-func (e *Exec) SenseClasses() int { return len(e.classes) }

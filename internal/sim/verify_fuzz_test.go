@@ -1,9 +1,9 @@
 package sim
 
-// Differential fuzz between the static verifier (internal/verify) and the
-// dynamic strict mode (Predecode + the interpreting Machine). The two are
-// independent implementations of the same semantics; this file is the proof
-// they agree:
+// Differential fuzz between the strict walk (isa.Walker, which drives both
+// the static verifier in internal/verify and Predecode) and the scalar
+// Machine, which implements the same strict-mode semantics independently.
+// This file is the proof they agree:
 //
 //   - verifier accepts  ⇔  Predecode succeeds  ⇔  Machine runs strict-clean
 //     (with every host input bound), and
@@ -102,7 +102,7 @@ func mutate(rng *rand.Rand, prog isa.Program, t layout.Target) isa.Program {
 // TestVerifierMatchesStrictModeOnMutants is the reject-side oracle: for
 // thousands of mutated programs, the static verdict must equal the dynamic
 // one — same accept/reject decision and byte-identical first error from
-// both Predecode and the interpreting Machine.
+// Predecode, the verifier and the scalar Machine.
 func TestVerifierMatchesStrictModeOnMutants(t *testing.T) {
 	target := layout.Target{Arrays: 2, Rows: 6, Cols: 5}
 	rng := rand.New(rand.NewSource(202))
@@ -125,7 +125,7 @@ func TestVerifierMatchesStrictModeOnMutants(t *testing.T) {
 			}
 		}
 
-		// The interpreting machine must agree too, with every input bound so
+		// The scalar machine must agree too, with every input bound so
 		// the only failures left are the statically decidable ones.
 		inputs := make(map[string]bool)
 		for _, n := range prog.Bindings() {

@@ -1,9 +1,10 @@
 // Translation validation: prove, per compile, that an emitted isa.Program
 // computes the same Boolean function as the kernel DFG it was scheduled
 // from. The proof is a symbolic execution of the program over the domain of
-// AIG literals — the same abstract walk verify.Program performs over the
-// definedness lattice, with every cell and row-buffer bit carrying the
-// literal of the Boolean function it holds instead of a single defined bit:
+// AIG literals — a visitor on the same strict walk (isa.Walker) that
+// verify.Program and sim.Predecode run, with every cell and row-buffer bit
+// carrying the literal of the Boolean function it holds alongside its
+// defined bit:
 //
 //   - a host write binds the cell to the kernel input's literal;
 //   - a scouting read folds the activated rows' literals through the
@@ -190,9 +191,8 @@ func Equivalent(p isa.Program, t layout.Target, kernel *dfg.Graph, outs []Output
 // report. The error return covers structural failures only; consult
 // EquivReport.Err for the verdicts.
 func EquivalentOpts(p isa.Program, t layout.Target, kernel *dfg.Graph, outs []OutputAt, opt EquivOptions) (*EquivReport, error) {
-	// The base verifier is the precondition: bounds, structural invariants
-	// and def-before-use must hold before literals can be propagated at all.
-	if err := ProgramOpts(p, t, Options{}).Err(); err != nil {
+	w, err := isa.NewWalker(p, t)
+	if err != nil {
 		return nil, fmt.Errorf("verify: program rejected before equivalence checking: %w", err)
 	}
 	cone, err := aig.LiftDFG(kernel)
@@ -204,9 +204,16 @@ func EquivalentOpts(p isa.Program, t layout.Target, kernel *dfg.Graph, outs []Ou
 		inIdx[name] = i
 	}
 
-	ex := newSymExec(p, t, cone.G, inIdx)
-	if err := ex.run(); err != nil {
-		return nil, err
+	// One strict walk does both jobs: bounds, structural invariants and
+	// def-before-use must hold before literals mean anything, so the first
+	// strict fault stops the proof. A binding outside the kernel's inputs is
+	// only reported once the whole program walked strict-clean.
+	ex := newSymExec(w, cone.G, inIdx)
+	if err := w.Run(ex); err != nil {
+		return nil, fmt.Errorf("verify: program rejected before equivalence checking: %w", err)
+	}
+	if ex.bindErr != nil {
+		return nil, ex.bindErr
 	}
 
 	kernLit := make(map[string]aig.Lit, len(cone.Outs))
@@ -267,182 +274,106 @@ func EquivalentOpts(p isa.Program, t layout.Target, kernel *dfg.Graph, outs []Ou
 	return rep, nil
 }
 
-// symExec is the literal-domain abstract machine. State layout mirrors the
-// definedness walker (and sim.Predecode): flat arrays over the program's
-// clamped resource space.
+// symExec is the prover's visitor on the strict walk: every cell and
+// row-buffer bit carries the AIG literal of the Boolean function it holds,
+// flat and indexed like the walk's definedness.
 type symExec struct {
-	p     isa.Program
-	t     layout.Target
+	w     *isa.Walker
 	g     *aig.Graph
 	inIdx map[string]int
-	sp    isa.Space
-
-	bufCols int // full fabric width, as the machines shift it
 
 	cellLit []aig.Lit
-	cellDef []bool
 	bufLit  []aig.Lit
-	bufDef  []bool
 
-	folded []aig.Lit // scratch for CIM folds
+	bindErr error     // first host binding outside the kernel's inputs
+	folded  []aig.Lit // scratch for CIM folds
 }
 
-func newSymExec(p isa.Program, t layout.Target, g *aig.Graph, inIdx map[string]int) *symExec {
-	sp := p.ResourceSpace().Clamp(t.Arrays, t.Cols, t.Rows)
+func newSymExec(w *isa.Walker, g *aig.Graph, inIdx map[string]int) *symExec {
 	return &symExec{
-		p: p, t: t, g: g, inIdx: inIdx, sp: sp,
-		bufCols: t.Cols,
-		cellLit: make([]aig.Lit, sp.Arrays*sp.BufCols*sp.Rows),
-		cellDef: make([]bool, sp.Arrays*sp.BufCols*sp.Rows),
-		bufLit:  make([]aig.Lit, sp.Arrays*t.Cols),
-		bufDef:  make([]bool, sp.Arrays*t.Cols),
+		w: w, g: g, inIdx: inIdx,
+		cellLit: make([]aig.Lit, len(w.CellDef)),
+		bufLit:  make([]aig.Lit, len(w.BufDef)),
 	}
 }
-
-func (ex *symExec) cellOff(a, c, r int) int { return (a*ex.sp.BufCols+c)*ex.sp.Rows + r }
-func (ex *symExec) bufOff(a, c int) int     { return a*ex.bufCols + c }
 
 // cellAt returns the literal a readout of place would observe.
 func (ex *symExec) cellAt(p layout.Place) (aig.Lit, error) {
-	if p.Array < 0 || p.Array >= ex.sp.Arrays || p.Col < 0 || p.Col >= ex.sp.BufCols ||
-		p.Row < 0 || p.Row >= ex.sp.Rows {
+	off, ok := ex.w.CellAt(p)
+	if !ok {
 		return 0, fmt.Errorf("readout cell %v was never touched by the program", p)
 	}
-	off := ex.cellOff(p.Array, p.Col, p.Row)
-	if !ex.cellDef[off] {
+	if !ex.w.CellDef[off] {
 		return 0, fmt.Errorf("readout cell %v is undefined at program end", p)
 	}
 	return ex.cellLit[off], nil
 }
 
-func (ex *symExec) run() error {
-	for i, in := range ex.p {
-		var err error
-		switch in.Kind {
-		case isa.KindRead:
-			err = ex.stepRead(in)
-		case isa.KindWrite:
-			err = ex.stepWrite(in)
-		case isa.KindShift:
-			ex.stepShift(in)
-		case isa.KindNot:
-			err = ex.stepNot(in)
-		}
-		if err != nil {
-			return fmt.Errorf("verify: instruction %d (%s): %w", i, in, err)
-		}
+// Fault stops the proof at the first strict error.
+func (ex *symExec) Fault(isa.StrictError) bool { return false }
+
+// Instr relabels a shifted row buffer's literals; bits shifted in from
+// outside are undefined, exactly as the executors kill them.
+func (ex *symExec) Instr(_ int, in *isa.Instruction) {
+	if in.Kind == isa.KindShift {
+		n := ex.w.Target.Cols
+		base := in.Array * n
+		isa.ShiftCols(ex.bufLit[base:base+n], in.ShiftDist(), aig.Const0)
 	}
-	return nil
 }
 
-// stepRead mirrors sim.Machine.stepRead: each column senses the activated
-// rows and folds them through the column's op into the row buffer.
-func (ex *symExec) stepRead(in isa.Instruction) error {
-	a := in.Array
-	cim := in.IsCIMRead()
-	for i, c := range in.Cols {
-		bits := ex.folded[:0]
-		for _, r := range in.Rows {
-			off := ex.cellOff(a, c, r)
-			if !ex.cellDef[off] {
-				return fmt.Errorf("read of undefined cell [%d][%d][%d]", a, c, r)
+// Read senses the activated rows of one column and folds them through the
+// column's op into the row buffer.
+func (ex *symExec) Read(_ int, in *isa.Instruction, ci int, _ bool) {
+	a, c := in.Array, in.Cols[ci]
+	base, dst := ex.w.CellOff(a, c, 0), ex.w.BufOff(a, c)
+	if !in.IsCIMRead() {
+		ex.bufLit[dst] = ex.cellLit[base+in.Rows[0]]
+		return
+	}
+	bits := ex.folded[:0]
+	for _, r := range in.Rows {
+		bits = append(bits, ex.cellLit[base+r])
+	}
+	ex.folded = bits[:0]
+	var v aig.Lit
+	switch op := in.Ops[ci]; op {
+	case logic.And, logic.Nand:
+		v = ex.g.AndN(bits)
+	case logic.Or, logic.Nor:
+		v = ex.g.OrN(bits)
+	default: // Xor, Xnor: the walk admits sense ops only
+		v = ex.g.XorN(bits)
+	}
+	if op := in.Ops[ci]; op == logic.Nand || op == logic.Nor || op == logic.Xnor {
+		v = v.Not()
+	}
+	ex.bufLit[dst] = v
+}
+
+func (ex *symExec) Write(i int, in *isa.Instruction, ci int, slot int) {
+	a, c := in.Array, in.Cols[ci]
+	var v aig.Lit
+	if slot >= 0 {
+		idx, ok := ex.inIdx[in.Bindings[ci]]
+		if !ok {
+			if ex.bindErr == nil {
+				ex.bindErr = fmt.Errorf("verify: instruction %d (%s): program binds %q, which is not a kernel input",
+					i, *in, in.Bindings[ci])
 			}
-			bits = append(bits, ex.cellLit[off])
-			if !cim {
-				break
-			}
-		}
-		ex.folded = bits[:0]
-		var v aig.Lit
-		if cim {
-			switch op := in.Ops[i]; op {
-			case logic.And:
-				v = ex.g.AndN(bits)
-			case logic.Nand:
-				v = ex.g.AndN(bits).Not()
-			case logic.Or:
-				v = ex.g.OrN(bits)
-			case logic.Nor:
-				v = ex.g.OrN(bits).Not()
-			case logic.Xor:
-				v = ex.g.XorN(bits)
-			case logic.Xnor:
-				v = ex.g.XorN(bits).Not()
-			default:
-				return fmt.Errorf("unsupported CIM op %v", op)
-			}
+			v = aig.Const0 // keep walking: a strict fault later still wins
 		} else {
-			v = bits[0]
-		}
-		off := ex.bufOff(a, c)
-		ex.bufLit[off] = v
-		ex.bufDef[off] = true
-	}
-	return nil
-}
-
-func (ex *symExec) stepWrite(in isa.Instruction) error {
-	a, row := in.Array, in.Rows[0]
-	src := a
-	if in.HasSrcArray {
-		src = in.SrcArray
-	}
-	host := in.IsHostWrite()
-	for i, c := range in.Cols {
-		var v aig.Lit
-		if host {
-			idx, ok := ex.inIdx[in.Bindings[i]]
-			if !ok {
-				return fmt.Errorf("program binds %q, which is not a kernel input", in.Bindings[i])
-			}
 			v = ex.g.Input(idx)
-		} else {
-			off := ex.bufOff(src, c)
-			if !ex.bufDef[off] {
-				return fmt.Errorf("write from undefined row-buffer bit [%d][%d]", src, c)
-			}
-			v = ex.bufLit[off]
 		}
-		off := ex.cellOff(a, c, row)
-		ex.cellLit[off] = v
-		ex.cellDef[off] = true
+	} else {
+		v = ex.bufLit[ex.w.BufOff(in.Source(), c)]
 	}
-	return nil
+	ex.cellLit[ex.w.CellOff(a, c, in.Rows[0])] = v
 }
 
-// stepShift relabels the array's whole row buffer; bits shifted in from
-// outside are undefined, exactly as the machines kill them.
-func (ex *symExec) stepShift(in isa.Instruction) {
-	a := in.Array
-	d := in.ShiftBy
-	if !in.Right {
-		d = -d
-	}
-	n := ex.bufCols
-	base := a * n
-	oldLit := append([]aig.Lit(nil), ex.bufLit[base:base+n]...)
-	oldDef := append([]bool(nil), ex.bufDef[base:base+n]...)
-	for c := 0; c < n; c++ {
-		if s := c - d; s >= 0 && s < n {
-			ex.bufLit[base+c] = oldLit[s]
-			ex.bufDef[base+c] = oldDef[s]
-		} else {
-			ex.bufLit[base+c] = aig.Const0
-			ex.bufDef[base+c] = false
-		}
-	}
-}
-
-func (ex *symExec) stepNot(in isa.Instruction) error {
-	a := in.Array
-	for _, c := range in.Cols {
-		off := ex.bufOff(a, c)
-		if !ex.bufDef[off] {
-			return fmt.Errorf("NOT of undefined row-buffer bit [%d][%d]", a, c)
-		}
-		ex.bufLit[off] = ex.bufLit[off].Not()
-	}
-	return nil
+func (ex *symExec) Not(_ int, in *isa.Instruction, ci int) {
+	off := ex.w.BufOff(in.Array, in.Cols[ci])
+	ex.bufLit[off] = ex.bufLit[off].Not()
 }
 
 // --- readout manifests ---------------------------------------------------

@@ -410,6 +410,43 @@ func TestEquivalentInterfaceErrors(t *testing.T) {
 	}
 }
 
+// TestEquivalentStrictErrorWinsOverBinding pins the error precedence of the
+// single strict walk: a strict-mode error anywhere in the program is
+// reported ahead of an earlier host binding that names no kernel input,
+// with the verifier's exact text; the binding error surfaces only when the
+// program is otherwise strict-clean.
+func TestEquivalentStrictErrorWinsOverBinding(t *testing.T) {
+	g := testKernel(t)
+	target := layout.Target{Arrays: 1, Rows: 64, Cols: 64}
+	res := mapKernel(t, g, true, target, mapping.Options{})
+	outs := outputsOf(t, res)
+
+	rebound := clone(res.Program)
+	i := findInstr(rebound, func(in isa.Instruction) bool { return in.IsHostWrite() })
+	if i < 0 {
+		t.Fatal("no host write to rebind")
+	}
+	rebound[i].Bindings[0] = "stranger"
+	_, err := EquivalentOpts(rebound, target, g, outs, EquivOptions{})
+	if err == nil || !strings.Contains(err.Error(), `binds "stranger", which is not a kernel input`) {
+		t.Fatalf("binding error: got %v", err)
+	}
+
+	// A later read of a never-written cell is a strict error and must win.
+	broken := append(clone(rebound), isa.Instruction{
+		Kind: isa.KindRead, Array: 0, Cols: []int{target.Cols - 1}, Rows: []int{target.Rows - 1},
+	})
+	strict := Program(broken, target).Err()
+	if strict == nil {
+		t.Fatal("verifier accepted a read of an undefined cell")
+	}
+	_, err = EquivalentOpts(broken, target, g, outs, EquivOptions{})
+	want := "verify: program rejected before equivalence checking: " + strict.Error()
+	if err == nil || err.Error() != want {
+		t.Fatalf("got %v\nwant %s", err, want)
+	}
+}
+
 func TestOutputsManifestRoundTrip(t *testing.T) {
 	outs := []OutputAt{
 		{Name: "gt", Place: layout.Place{Array: 0, Col: 3, Row: 17}},

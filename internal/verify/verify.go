@@ -1,19 +1,20 @@
 // Package verify statically analyzes CIM instruction programs: it proves,
-// without executing a single lane, every property the interpreting machines
-// (sim.Machine, sim.LaneMachine) and the pre-decoder (sim.Predecode)
-// enforce dynamically, plus liveness diagnostics no interpreter can give.
+// without executing a single lane, every property the executors enforce
+// dynamically, plus liveness diagnostics no executor can give.
 //
-// The analysis is an abstract interpretation of the program over a
-// two-point definedness lattice (undefined ⊑ defined) per cell and per
-// row-buffer bit — the same resolution sim.Predecode performs while
-// decoding, kept deliberately independent of it so the two implementations
-// check each other (see the differential fuzz in internal/sim). Because
-// programs are lane-uniform and branch-free, the lattice is exact, not an
-// approximation: a read is def-before-use for every input iff it is
-// def-before-use abstractly.
+// The analysis is the strict-mode walk of isa.Walker — the abstract
+// interpretation over a two-point definedness lattice (undefined ⊑ defined)
+// per cell and per row-buffer bit that sim.Predecode also decodes from, so
+// the verifier, the pre-decoder and the translation validator reach every
+// verdict, and word every error, identically by construction. sim.Machine
+// re-implements the rules concretely and independently; the differential
+// fuzz in internal/sim checks the walk against it. Because programs are
+// lane-uniform and branch-free, the lattice is exact, not an approximation:
+// a read is def-before-use for every input iff it is def-before-use
+// abstractly.
 //
 // Properties proved (error severity — the program is rejected exactly when
-// the interpreter's strict mode would fail it, with identical text):
+// strict mode would fail it, with identical text):
 //
 //   - structural instruction invariants (isa.Instruction.Validate), which
 //     also discharge merge legality: a merged scouting read activates one
@@ -25,11 +26,11 @@
 //   - def-before-use: every cell read, row-buffer write-back source, and
 //     NOT target is dominated by a defining write/read, with shifts moving
 //     definedness and killing bits shifted in from outside;
-//   - host-input binding order: the first-use order the verifier observes
-//     is the canonical slot order (isa.Program.Bindings), exposed for
-//     callers to cross-check against sim.Predecode's slot table.
+//   - host-input binding order: the first-use order the walk observes is
+//     the canonical slot order (isa.Program.Bindings), exposed for callers
+//     to cross-check against sim.Predecode's slot table.
 //
-// Diagnostics beyond the interpreter (warning/info severity):
+// Diagnostics beyond strict mode (warning/info severity):
 //
 //   - dead stores: a row-buffer bit loaded or computed, then overwritten or
 //     shifted out before anything consumed it;
@@ -50,7 +51,6 @@ import (
 
 	"sherlock/internal/isa"
 	"sherlock/internal/layout"
-	"sherlock/internal/logic"
 )
 
 // Severity grades a finding.
@@ -58,7 +58,7 @@ type Severity int
 
 // Severities, most severe first.
 const (
-	SevError   Severity = iota // the interpreter's strict mode would fail
+	SevError   Severity = iota // strict mode would fail
 	SevWarning                 // legal but almost certainly a codegen bug
 	SevInfo                    // worth a look, often benign
 )
@@ -77,18 +77,18 @@ func (s Severity) String() string {
 
 // Diagnostic codes. Stable identifiers for filtering and tests.
 const (
-	CodeBadTarget     = "bad-target"      // degenerate fabric geometry
-	CodeInvalidInstr  = "invalid-instr"   // structural invariant broken
-	CodeBounds        = "bounds"          // coordinate outside the fabric
-	CodeUndefRead     = "undef-read"      // read of a never-written cell
-	CodeUndefBufWrite = "undef-buf-write" // write-back from an undefined buffer bit
-	CodeUndefNot      = "undef-not"       // NOT of an undefined buffer bit
-	CodeUnsupportedOp = "unsupported-op"  // scouting read with a non-foldable op
-	CodeDeadStore     = "dead-store"      // buffer value produced but never consumed
-	CodeWAWShadow     = "waw-shadow"      // cell overwritten before any read
-	CodeUnusedInput   = "unused-input"    // host input never read back
-	CodeBufLive       = "buf-liveness"    // buffer value still live at program end
-	CodeRowLimit      = "row-limit"       // activation wider than Options.MaxRows
+	CodeBadTarget     = "bad-target"                   // degenerate fabric geometry
+	CodeInvalidInstr  = string(isa.FaultInvalid)       // structural invariant broken
+	CodeBounds        = string(isa.FaultBounds)        // coordinate outside the fabric
+	CodeUndefRead     = string(isa.FaultUndefRead)     // read of a never-written cell
+	CodeUndefBufWrite = string(isa.FaultUndefBufWrite) // write-back from an undefined buffer bit
+	CodeUndefNot      = string(isa.FaultUndefNot)      // NOT of an undefined buffer bit
+	CodeUnsupportedOp = string(isa.FaultUnsupportedOp) // scouting read with a non-foldable op
+	CodeDeadStore     = "dead-store"                   // buffer value produced but never consumed
+	CodeWAWShadow     = "waw-shadow"                   // cell overwritten before any read
+	CodeUnusedInput   = "unused-input"                 // host input never read back
+	CodeBufLive       = "buf-liveness"                 // buffer value still live at program end
+	CodeRowLimit      = "row-limit"                    // activation wider than Options.MaxRows
 )
 
 // Finding is one diagnostic, anchored to an instruction index (-1 for
@@ -100,7 +100,8 @@ type Finding struct {
 	Msg      string
 }
 
-// String renders "instr 3: error[undef-read]: read of undefined cell ...".
+// String renders "instr 3: error[undef-read]: <message>", or "program: ..."
+// for program-level findings.
 func (f Finding) String() string {
 	if f.Instr < 0 {
 		return fmt.Sprintf("program: %v[%s]: %s", f.Severity, f.Code, f.Msg)
@@ -117,7 +118,7 @@ type Report struct {
 }
 
 // OK reports whether the program carries no error-severity findings — the
-// static equivalent of "the interpreter runs it strict-clean" (given every
+// static equivalent of "the executors run it strict-clean" (given every
 // host input is bound; binding completeness is the one property only the
 // caller's input map can decide).
 func (r *Report) OK() bool {
@@ -140,7 +141,7 @@ func (r *Report) Clean() bool {
 }
 
 // Err returns the first error-severity finding formatted exactly as
-// sim.Predecode (and the interpreting machines) would have failed, or nil.
+// sim.Predecode (and sim.Machine) would have failed, or nil.
 func (r *Report) Err() error {
 	for _, f := range r.Findings {
 		if f.Severity != SevError {
@@ -149,13 +150,13 @@ func (r *Report) Err() error {
 		if f.Instr < 0 {
 			return errors.New(f.Msg)
 		}
-		return fmt.Errorf("sim: instruction %d (%s): %s", f.Instr, r.prog[f.Instr], f.Msg)
+		return &isa.StrictError{Instr: f.Instr, In: r.prog[f.Instr], Msg: f.Msg}
 	}
 	return nil
 }
 
-// Bindings returns the host-input names in the first-use order the abstract
-// interpretation observed — by construction the canonical slot order of
+// Bindings returns the host-input names in the first-use order the strict
+// walk observed — by construction the canonical slot order of
 // isa.Program.Bindings and sim.Predecode.
 func (r *Report) Bindings() []string { return append([]string(nil), r.bindings...) }
 
@@ -183,15 +184,15 @@ func Program(p isa.Program, t layout.Target) *Report {
 // ProgramOpts verifies p against t.
 func ProgramOpts(p isa.Program, t layout.Target, opts Options) *Report {
 	rep := &Report{prog: p}
-	if err := t.Validate(); err != nil {
+	w, err := isa.NewWalker(p, t)
+	if err != nil {
 		rep.add(-1, SevError, CodeBadTarget, err.Error())
 		return rep
 	}
-	w := newWalker(p, t, opts, rep)
-	for i, in := range p {
-		w.step(i, in)
-	}
-	w.finish()
+	lv := newLiveness(w, opts, rep)
+	_ = w.Run(lv) // nil: lv recovers from every fault, recording it as a finding
+	lv.finish()
+	rep.bindings = w.Inputs
 	return rep
 }
 
@@ -199,324 +200,152 @@ func (r *Report) add(instr int, sev Severity, code, msg string) {
 	r.Findings = append(r.Findings, Finding{Instr: instr, Severity: sev, Code: code, Msg: msg})
 }
 
-// walker is the abstract machine. Cell and buffer state is flat, indexed by
-// the program's clamped resource space exactly as sim.Predecode lays its
-// definedness arrays out.
-type walker struct {
+// liveness is the verifier's visitor on the strict walk. It records every
+// strict fault as an error finding and recovers — the walk then assumes the
+// intended effect happened, so one bug does not cascade into a wall of
+// follow-on findings — and tracks the shadow state behind the diagnostics
+// no executor can give. State is flat, indexed like the walk's definedness.
+type liveness struct {
+	w    *isa.Walker
 	rep  *Report
-	t    layout.Target
-	sp   isa.Space
 	opts Options
 
-	bufCols int // buffer words per array = t.Cols, full fabric width
-
-	// Definedness lattice (the property Predecode resolves).
-	cellDef []bool
-	bufDef  []bool
-
-	// Liveness shadow state (the diagnostics Predecode cannot give).
 	cellWriter []int32 // last writing instruction, -1 = never written
 	cellRead   []bool  // value read since that write
 	cellSlot   []int32 // host-input slot the value came from, -1 = computed
 	bufProd    []int32 // producing instruction of the buffer value, -1 = none
 	bufUsed    []bool  // value consumed since produced
 
-	slots     map[string]int
 	slotFirst []int32 // first host write per slot
 	slotUsed  []bool
 }
 
-func newWalker(p isa.Program, t layout.Target, opts Options, rep *Report) *walker {
-	sp := p.ResourceSpace().Clamp(t.Arrays, t.Cols, t.Rows)
-	numCells := sp.Arrays * sp.BufCols * sp.Rows
-	numBuf := sp.Arrays * t.Cols
-	w := &walker{
-		rep: rep, t: t, sp: sp, opts: opts,
-		bufCols:    t.Cols,
-		cellDef:    make([]bool, numCells),
-		bufDef:     make([]bool, numBuf),
+func newLiveness(w *isa.Walker, opts Options, rep *Report) *liveness {
+	numCells, numBuf := len(w.CellDef), len(w.BufDef)
+	lv := &liveness{
+		w: w, rep: rep, opts: opts,
 		cellWriter: make([]int32, numCells),
 		cellRead:   make([]bool, numCells),
 		cellSlot:   make([]int32, numCells),
 		bufProd:    make([]int32, numBuf),
 		bufUsed:    make([]bool, numBuf),
-		slots:      make(map[string]int),
 	}
-	for i := range w.cellWriter {
-		w.cellWriter[i] = -1
-		w.cellSlot[i] = -1
+	for i := range lv.cellWriter {
+		lv.cellWriter[i] = -1
+		lv.cellSlot[i] = -1
 	}
-	for i := range w.bufProd {
-		w.bufProd[i] = -1
+	for i := range lv.bufProd {
+		lv.bufProd[i] = -1
 	}
-	return w
+	return lv
 }
 
-// cellOff mirrors sim.Predecode's flat layout: rows contiguous per column.
-func (w *walker) cellOff(a, c, r int) int { return (a*w.sp.BufCols+c)*w.sp.Rows + r }
-func (w *walker) bufOff(a, c int) int     { return a*w.bufCols + c }
-
-// checkPlace reproduces the machines' bounds messages verbatim.
-func (w *walker) checkPlace(array, col, row int) (string, bool) {
-	if array < 0 || array >= w.t.Arrays {
-		return fmt.Sprintf("sim: array %d outside target", array), false
-	}
-	if col < 0 || col >= w.t.Cols {
-		return fmt.Sprintf("sim: column %d outside target", col), false
-	}
-	if row < 0 || row >= w.t.Rows {
-		return fmt.Sprintf("sim: row %d outside target", row), false
-	}
-	return "", true
+func (lv *liveness) Fault(e isa.StrictError) bool {
+	lv.rep.add(e.Instr, SevError, string(e.Fault), e.Msg)
+	return true
 }
 
-func (w *walker) errf(i int, code, format string, args ...any) {
-	w.rep.add(i, SevError, code, fmt.Sprintf(format, args...))
-}
-
-// step interprets one instruction abstractly. On an error it records the
-// finding and recovers by assuming the intended effect happened (for
-// coordinates inside the fabric), so one bug does not cascade into a wall
-// of follow-on findings.
-func (w *walker) step(i int, in isa.Instruction) {
-	if err := in.Validate(); err != nil {
-		// A structurally broken instruction cannot be interpreted; skip its
-		// effects entirely. Predecode stops here with the same message.
-		w.errf(i, CodeInvalidInstr, "%s", err.Error())
-		return
-	}
-	switch in.Kind {
-	case isa.KindRead:
-		w.stepRead(i, in)
-	case isa.KindWrite:
-		w.stepWrite(i, in)
-	case isa.KindShift:
-		w.stepShift(i, in)
-	case isa.KindNot:
-		w.stepNot(i, in)
-	}
-}
-
-// stepRead mirrors sim.Predecode.decodeRead: array bound, then every row
-// bound, then per column (in order) the column bound, the per-row
-// definedness of the sensed cells, and the fold legality of the op.
-func (w *walker) stepRead(i int, in isa.Instruction) {
-	a := in.Array
-	if a >= w.t.Arrays {
-		w.errf(i, CodeBounds, "array %d outside target", a)
-		return
-	}
-	rowsOK := true
-	for _, r := range in.Rows {
-		if msg, ok := w.checkPlace(a, 0, r); !ok {
-			w.errf(i, CodeBounds, "%s", msg)
-			rowsOK = false
+// Instr warns on over-wide activations and, for a shift, reports live
+// unconsumed bits pushed off the buffer edge as dead stores before moving
+// the shadow state with the data.
+func (lv *liveness) Instr(i int, in *isa.Instruction) {
+	switch {
+	case in.IsCIMRead():
+		if lv.opts.MaxRows > 0 && len(in.Rows) > lv.opts.MaxRows {
+			lv.rep.add(i, SevWarning, CodeRowLimit, fmt.Sprintf(
+				"scouting read activates %d rows; technology limit is %d", len(in.Rows), lv.opts.MaxRows))
 		}
-	}
-	cim := in.IsCIMRead()
-	if cim && w.opts.MaxRows > 0 && len(in.Rows) > w.opts.MaxRows {
-		w.rep.add(i, SevWarning, CodeRowLimit, fmt.Sprintf(
-			"scouting read activates %d rows; technology limit is %d", len(in.Rows), w.opts.MaxRows))
-	}
-	for ci, c := range in.Cols {
-		if msg, ok := w.checkPlace(a, c, in.Rows[0]); !ok {
-			w.errf(i, CodeBounds, "%s", msg)
-			continue
-		}
-		if rowsOK {
-			if cim {
-				for _, r := range in.Rows {
-					if !w.cellDef[w.cellOff(a, c, r)] {
-						w.errf(i, CodeUndefRead, "read of undefined cell [%d][%d][%d]", a, c, r)
-					}
-				}
-				op := in.Ops[ci]
-				if !foldable(op) {
-					w.errf(i, CodeUnsupportedOp, "unsupported CIM op %v", op)
-				}
-			} else if !w.cellDef[w.cellOff(a, c, in.Rows[0])] {
-				w.errf(i, CodeUndefRead, "read of undefined cell [%d][%d][%d]", a, c, in.Rows[0])
+	case in.Kind == isa.KindShift:
+		d, n := in.ShiftDist(), lv.w.Target.Cols
+		base := in.Array * n
+		for c := 0; c < n; c++ {
+			if dst := c + d; dst >= 0 && dst < n {
+				continue
 			}
-			// Effects: the sensed cells are consumed...
-			for _, r := range in.Rows {
-				off := w.cellOff(a, c, r)
-				w.cellDef[off] = true // recovery: assume the read's intent
-				w.cellRead[off] = true
-				if s := w.cellSlot[off]; s >= 0 {
-					w.slotUsed[s] = true
-				}
-				if !cim {
-					break // a plain read senses only Rows[0]
-				}
+			if p := lv.bufProd[base+c]; p >= 0 && !lv.bufUsed[base+c] {
+				lv.rep.add(int(p), SevWarning, CodeDeadStore, fmt.Sprintf(
+					"row-buffer bit [%d][%d] is loaded but never used before instruction %d shifts it out", in.Array, c, i))
 			}
 		}
-		// ...and the result lands in the row buffer.
-		w.produceBuf(i, a, c)
+		isa.ShiftCols(lv.bufProd[base:base+n], d, -1)
+		isa.ShiftCols(lv.bufUsed[base:base+n], d, false)
 	}
 }
 
-// foldable reports whether the executor can fold a scouting-read op — the
-// exact set sim's foldKind accepts. Instruction.Validate already restricts
-// ops to IsSense, which is the same six; the explicit check keeps the
-// verifier honest if the vocabularies ever diverge.
-func foldable(op logic.Op) bool {
-	switch op {
-	case logic.And, logic.Nand, logic.Or, logic.Nor, logic.Xor, logic.Xnor:
-		return true
+// Read consumes the sensed cells, and the result lands in the row buffer.
+func (lv *liveness) Read(i int, in *isa.Instruction, ci int, sensed bool) {
+	a, c := in.Array, in.Cols[ci]
+	if sensed {
+		rows := in.Rows
+		if !in.IsCIMRead() {
+			rows = rows[:1]
+		}
+		for _, r := range rows {
+			off := lv.w.CellOff(a, c, r)
+			lv.cellRead[off] = true
+			if s := lv.cellSlot[off]; s >= 0 {
+				lv.slotUsed[s] = true
+			}
+		}
 	}
-	return false
+	lv.produceBuf(i, a, c)
 }
 
 // produceBuf records a new value landing in buffer bit (a,c), reporting the
 // previous value as a dead store if nothing ever consumed it.
-func (w *walker) produceBuf(i, a, c int) {
-	off := w.bufOff(a, c)
-	if p := w.bufProd[off]; p >= 0 && !w.bufUsed[off] {
-		w.rep.add(int(p), SevWarning, CodeDeadStore, fmt.Sprintf(
+func (lv *liveness) produceBuf(i, a, c int) {
+	off := lv.w.BufOff(a, c)
+	if p := lv.bufProd[off]; p >= 0 && !lv.bufUsed[off] {
+		lv.rep.add(int(p), SevWarning, CodeDeadStore, fmt.Sprintf(
 			"row-buffer bit [%d][%d] is loaded but never used before instruction %d overwrites it", a, c, i))
 	}
-	w.bufDef[off] = true
-	w.bufProd[off] = int32(i)
-	w.bufUsed[off] = false
+	lv.bufProd[off] = int32(i)
+	lv.bufUsed[off] = false
 }
 
-// consumeBuf marks buffer bit (a,c) as used.
-func (w *walker) consumeBuf(a, c int) { w.bufUsed[w.bufOff(a, c)] = true }
-
-// stepWrite mirrors sim.Predecode.decodeWrite.
-func (w *walker) stepWrite(i int, in isa.Instruction) {
-	a, row := in.Array, in.Rows[0]
-	if a >= w.t.Arrays {
-		w.errf(i, CodeBounds, "array %d outside target", a)
-		return
+func (lv *liveness) Write(i int, in *isa.Instruction, ci int, slot int) {
+	a, c, row := in.Array, in.Cols[ci], in.Rows[0]
+	if slot == len(lv.slotFirst) { // first use of a new host input
+		lv.slotFirst = append(lv.slotFirst, int32(i))
+		lv.slotUsed = append(lv.slotUsed, false)
 	}
-	src := a
-	if in.HasSrcArray {
-		src = in.SrcArray
-		if src >= w.t.Arrays {
-			w.errf(i, CodeBounds, "source array %d outside target", src)
-			return
-		}
+	if slot < 0 {
+		lv.bufUsed[lv.w.BufOff(in.Source(), c)] = true
 	}
-	host := in.IsHostWrite()
-	for ci, c := range in.Cols {
-		if msg, ok := w.checkPlace(a, c, row); !ok {
-			w.errf(i, CodeBounds, "%s", msg)
-			continue
-		}
-		slot := int32(-1)
-		if host {
-			slot = int32(w.slotFor(i, in.Bindings[ci]))
-		} else {
-			if !w.bufDef[w.bufOff(src, c)] {
-				w.errf(i, CodeUndefBufWrite, "write from undefined row-buffer bit [%d][%d]", src, c)
-				w.bufDef[w.bufOff(src, c)] = true // recovery
-			}
-			w.consumeBuf(src, c)
-		}
-		off := w.cellOff(a, c, row)
-		if prev := w.cellWriter[off]; prev >= 0 && !w.cellRead[off] {
-			w.rep.add(int(prev), SevWarning, CodeWAWShadow, fmt.Sprintf(
-				"cell [%d][%d][%d] is overwritten by instruction %d before any read (write-after-write shadow)",
-				a, c, row, i))
-		}
-		w.cellDef[off] = true
-		w.cellWriter[off] = int32(i)
-		w.cellRead[off] = false
-		w.cellSlot[off] = slot
+	off := lv.w.CellOff(a, c, row)
+	if prev := lv.cellWriter[off]; prev >= 0 && !lv.cellRead[off] {
+		lv.rep.add(int(prev), SevWarning, CodeWAWShadow, fmt.Sprintf(
+			"cell [%d][%d][%d] is overwritten by instruction %d before any read (write-after-write shadow)",
+			a, c, row, i))
 	}
+	lv.cellWriter[off] = int32(i)
+	lv.cellRead[off] = false
+	lv.cellSlot[off] = int32(slot)
 }
 
-func (w *walker) slotFor(instr int, name string) int {
-	if s, ok := w.slots[name]; ok {
-		return s
-	}
-	s := len(w.rep.bindings)
-	w.slots[name] = s
-	w.rep.bindings = append(w.rep.bindings, name)
-	w.slotFirst = append(w.slotFirst, int32(instr))
-	w.slotUsed = append(w.slotUsed, false)
-	return s
-}
-
-// stepShift mirrors sim.Predecode.decodeShift: definedness (and here, the
-// liveness shadow state) moves with the data; bits shifted in from outside
-// the buffer are undefined again, and live unconsumed bits pushed off the
-// edge die as dead stores.
-func (w *walker) stepShift(i int, in isa.Instruction) {
-	a := in.Array
-	if a >= w.t.Arrays {
-		w.errf(i, CodeBounds, "array %d outside target", a)
-		return
-	}
-	d := in.ShiftBy
-	if !in.Right {
-		d = -d
-	}
-	n := w.bufCols
-	base := a * n
-	oldDef := append([]bool(nil), w.bufDef[base:base+n]...)
-	oldProd := append([]int32(nil), w.bufProd[base:base+n]...)
-	oldUsed := append([]bool(nil), w.bufUsed[base:base+n]...)
-	// Live unconsumed values whose destination falls outside the buffer.
-	for c := 0; c < n; c++ {
-		if dst := c + d; dst < 0 || dst >= n {
-			if p := oldProd[c]; p >= 0 && !oldUsed[c] {
-				w.rep.add(int(p), SevWarning, CodeDeadStore, fmt.Sprintf(
-					"row-buffer bit [%d][%d] is loaded but never used before instruction %d shifts it out", a, c, i))
-			}
-		}
-	}
-	for c := 0; c < n; c++ {
-		if s := c - d; s >= 0 && s < n {
-			w.bufDef[base+c] = oldDef[s]
-			w.bufProd[base+c] = oldProd[s]
-			w.bufUsed[base+c] = oldUsed[s]
-		} else {
-			w.bufDef[base+c] = false
-			w.bufProd[base+c] = -1
-			w.bufUsed[base+c] = false
-		}
-	}
-}
-
-// stepNot mirrors sim.Predecode.decodeNot. NOT both consumes the old value
-// and produces a new one in place.
-func (w *walker) stepNot(i int, in isa.Instruction) {
-	a := in.Array
-	if a >= w.t.Arrays {
-		w.errf(i, CodeBounds, "array %d outside target", a)
-		return
-	}
-	for _, c := range in.Cols {
-		if c >= w.bufCols {
-			w.errf(i, CodeBounds, "column %d outside target", c)
-			continue
-		}
-		if !w.bufDef[w.bufOff(a, c)] {
-			w.errf(i, CodeUndefNot, "NOT of undefined row-buffer bit [%d][%d]", a, c)
-		}
-		w.consumeBuf(a, c)
-		w.produceBuf(i, a, c)
-	}
+// Not both consumes the old value and produces a new one in place.
+func (lv *liveness) Not(i int, in *isa.Instruction, ci int) {
+	a, c := in.Array, in.Cols[ci]
+	lv.bufUsed[lv.w.BufOff(a, c)] = true
+	lv.produceBuf(i, a, c)
 }
 
 // finish emits the end-of-program diagnostics: unused host inputs and
 // buffer values that never made it back into a cell. Per-bit events
 // aggregate per producing instruction so one forgotten write-back reads as
 // one finding, not one per column.
-func (w *walker) finish() {
-	for s, used := range w.slotUsed {
+func (lv *liveness) finish() {
+	for s, used := range lv.slotUsed {
 		if !used {
-			w.rep.add(int(w.slotFirst[s]), SevWarning, CodeUnusedInput, fmt.Sprintf(
-				"host input %q is loaded but never read by any instruction", w.rep.bindings[s]))
+			lv.rep.add(int(lv.slotFirst[s]), SevWarning, CodeUnusedInput, fmt.Sprintf(
+				"host input %q is loaded but never read by any instruction", lv.w.Inputs[s]))
 		}
 	}
 	live := make(map[int32][]string)
-	for a := 0; a < w.sp.Arrays; a++ {
-		for c := 0; c < w.bufCols; c++ {
-			off := w.bufOff(a, c)
-			if p := w.bufProd[off]; p >= 0 && !w.bufUsed[off] {
+	for a := 0; a < lv.w.Space.Arrays; a++ {
+		for c := 0; c < lv.w.Target.Cols; c++ {
+			off := lv.w.BufOff(a, c)
+			if p := lv.bufProd[off]; p >= 0 && !lv.bufUsed[off] {
 				live[p] = append(live[p], fmt.Sprintf("[%d][%d]", a, c))
 			}
 		}
@@ -527,7 +356,7 @@ func (w *walker) finish() {
 	}
 	sort.Slice(prods, func(i, j int) bool { return prods[i] < prods[j] })
 	for _, p := range prods {
-		w.rep.add(int(p), SevInfo, CodeBufLive, fmt.Sprintf(
+		lv.rep.add(int(p), SevInfo, CodeBufLive, fmt.Sprintf(
 			"row-buffer bit(s) %s hold unconsumed values at program end", strings.Join(live[p], ",")))
 	}
 }

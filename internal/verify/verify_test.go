@@ -46,6 +46,7 @@ func TestErrorTextMatchesPredecode(t *testing.T) {
 		{"bad column", parse(t, "Write [0][99][0] <x>")},
 		{"bad not column", parse(t, "Write [0][0][0] <x>\nRead [0][0][0]\nNot [0][99]")},
 		{"shift drops bit", parse(t, "Write [0][3][0] <x>\nRead [0][3][0]\nShift [0] R[2]\nWrite [0][3][1]")},
+		{"shift kills vacated bit", parse(t, "Write [0][0][0] <x>\nRead [0][0][0]\nShift [0] R[1]\nWrite [0][0][1]")},
 		{"undefined buffer write", parse(t, "Write [0][0][0] <x>\nRead [0][0][0]\nWrite [1][0][0] @[0]\nNot [1][1]")},
 		{"undefined not", parse(t, "Not [0][1]")},
 		{"undefined cim operand", parse(t, "Write [0][0][0] <x>\nRead [0][0][0,1] [AND]")},
