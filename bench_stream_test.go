@@ -1,16 +1,16 @@
-// Streaming-pipeline benchmarks: the million-row analytics throughput
-// comparison (streamed fused-COUNT vs one materializing RunBatchWords
-// pass vs host-reduced), the steady-state allocation proof, and the
-// pipeline-overlap ablation. BenchmarkRunStream/stream is the BENCH_8
+// Streaming benchmarks: the million-row analytics throughput comparison
+// (streamed fused-COUNT vs one materializing RunBatchWords pass), the
+// steady-state allocation proof, and the chunk-width sweep. They live in
+// the package itself because the sweep forces chunk widths through the
+// unexported newStreamer. BenchmarkRunStream/stream is the BENCH_8
 // headline number.
-package sherlock_test
+package sherlock
 
 import (
 	"fmt"
 	"math/bits"
 	"testing"
 
-	"sherlock"
 	"sherlock/internal/workloads/analytics"
 )
 
@@ -18,14 +18,14 @@ const streamBenchRows = 1_000_000
 
 // compileScanBench builds the default bitmap-index COUNT plan and its
 // million-row packed input block.
-func compileScanBench(b *testing.B) (*sherlock.Compiled, []uint64) {
+func compileScanBench(b *testing.B) (*Compiled, []uint64) {
 	b.Helper()
 	plan := analytics.DefaultScanConfig()
 	g, err := analytics.BuildScan(plan)
 	if err != nil {
 		b.Fatal(err)
 	}
-	c, err := sherlock.CompileGraph(g, sherlock.Options{Tech: sherlock.ReRAM, ArraySize: 128})
+	c, err := CompileGraph(g, Options{Tech: ReRAM, ArraySize: 128})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -44,13 +44,13 @@ func BenchmarkRunStream(b *testing.B) {
 	c, in := compileScanBench(b)
 
 	b.Run("stream", func(b *testing.B) {
-		s, err := c.NewStreamer(sherlock.StreamOptions{})
+		s, err := c.NewStreamer(StreamOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		defer s.Close()
-		var sink sherlock.CountSink
-		// Warm machines, channels and sink accumulators out of the
+		var sink CountSink
+		// Warm machines and sink accumulators out of the
 		// measured (and allocation-counted) region.
 		if err := s.Run(in, streamBenchRows, &sink); err != nil {
 			b.Fatal(err)
@@ -89,36 +89,6 @@ func BenchmarkRunStream(b *testing.B) {
 	})
 }
 
-// BenchmarkRunStreamAblation isolates what the stage overlap buys: the
-// same chunk width and shard count, pipelined vs serialized stages.
-func BenchmarkRunStreamAblation(b *testing.B) {
-	c, in := compileScanBench(b)
-	for _, serial := range []bool{false, true} {
-		name := "pipelined"
-		if serial {
-			name = "serial"
-		}
-		b.Run(name, func(b *testing.B) {
-			s, err := c.NewStreamer(sherlock.StreamOptions{Serial: serial})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			var sink sherlock.CountSink
-			if err := s.Run(in, streamBenchRows, &sink); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := s.Run(in, streamBenchRows, &sink); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(streamBenchRows)*float64(b.N)/b.Elapsed().Seconds(), "rows_per_sec")
-		})
-	}
-}
-
 // BenchmarkStreamChunkWidth sweeps the chunk width: the per-micro-op
 // dispatch amortization is the single biggest lever on a small kernel, so
 // this documents why the auto-sizer prefers wide chunks.
@@ -126,12 +96,12 @@ func BenchmarkStreamChunkWidth(b *testing.B) {
 	c, in := compileScanBench(b)
 	for _, words := range []int{4, 32, 256} {
 		b.Run(fmt.Sprintf("words%d", words), func(b *testing.B) {
-			s, err := c.NewStreamer(sherlock.StreamOptions{ChunkLanes: words * 64})
+			s, err := c.newStreamer(StreamOptions{}, words)
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer s.Close()
-			var sink sherlock.CountSink
+			var sink CountSink
 			if err := s.Run(in, streamBenchRows, &sink); err != nil {
 				b.Fatal(err)
 			}

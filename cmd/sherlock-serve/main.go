@@ -37,7 +37,8 @@ func main() {
 	batchLanes := flag.Int("batch-lanes", 256, "lane count that flushes a batch (256 = one full executor pass)")
 	maxPrograms := flag.Int("max-programs", 1024, "compiled programs kept resident (0 = unbounded)")
 	maxBytes := flag.Int64("max-bytes", 256<<20, "estimated resident program bytes (0 = unbounded)")
-	parallelism := flag.Int("parallelism", 0, "workers per merged batch (0 = GOMAXPROCS)")
+	parallelism := flag.Int("parallelism", 0,
+		"workers per merged batch, and shards of each kernel's direct-run streamer (0 = GOMAXPROCS)")
 	passes := flag.Int("passes", 0, "concurrent executor passes across all kernels (0 = unlimited)")
 	backend := flag.String("backend", "auto", "execution backend: auto (cost-model routing), cim, or cpu")
 	flag.Parse()

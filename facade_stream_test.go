@@ -4,6 +4,8 @@ import (
 	"math/bits"
 	"math/rand"
 	"testing"
+
+	"sherlock/internal/dfg"
 )
 
 // streamEdgeLanes are the chunk-edge row counts the streaming pipeline
@@ -37,22 +39,23 @@ func hostCount(out []uint64, numOut, W int) []int64 {
 
 // TestRunStreamMatchesBatchWords is the differential anchor: the streamed
 // BitmapSink must reproduce RunBatchWords bit for bit at every awkward
-// edge, whatever the chunking, sharding, or overlap mode.
+// edge, whatever the chunking or sharding.
 func TestRunStreamMatchesBatchWords(t *testing.T) {
 	c, err := CompileC(demoKernel, Options{Tech: ReRAM, ArraySize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
 	numOut := len(c.OutputNames())
-	cases := []StreamOptions{
-		{Parallelism: 1, ChunkLanes: 128},
-		{Parallelism: 3, ChunkLanes: 128},
-		{Parallelism: 3, ChunkLanes: 128, Serial: true},
-		{Parallelism: 2, ChunkLanes: 1024},
-		{Parallelism: 2}, // auto chunk width
+	cases := []struct {
+		parallelism, blockWords int
+	}{
+		{1, 2},
+		{3, 2},
+		{2, 16},
+		{2, 0}, // auto chunk width
 	}
-	for ci, opts := range cases {
-		s, err := c.NewStreamer(opts)
+	for ci, tc := range cases {
+		s, err := c.newStreamer(StreamOptions{Parallelism: tc.parallelism}, tc.blockWords)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,6 +84,86 @@ func TestRunStreamMatchesBatchWords(t *testing.T) {
 	}
 }
 
+// goldenWords evaluates c's DFG with the bit-sliced golden model
+// (dfg.WordEvaluator, the CPU backend's evaluator) over a slot-major
+// packed block and returns the output-major block, dead lanes zeroed. It
+// shares no code with the ExecMachine, so it is an independent oracle for
+// the chunk-edge differentials.
+func goldenWords(c *Compiled, in []uint64, lanes int) []uint64 {
+	slot := make(map[string]int)
+	for i, name := range c.InputNames() {
+		slot[name] = i
+	}
+	ins := c.Graph.Inputs()
+	numOut := len(c.Graph.Outputs())
+	ev := dfg.NewWordEvaluator(c.Graph)
+	W := (lanes + 63) / 64
+	out := make([]uint64, numOut*W)
+	words := make([]uint64, len(ins))
+	for w := 0; w < W; w++ {
+		for i, id := range ins {
+			words[i] = 0 // an input the mapper folded away cannot matter
+			if s, ok := slot[c.Graph.Name(id)]; ok {
+				words[i] = in[s*W+w]
+			}
+		}
+		mask := ^uint64(0)
+		if rem := lanes - w*64; rem < 64 {
+			mask = uint64(1)<<uint(rem) - 1
+		}
+		for o, v := range ev.Eval(words) {
+			out[o*W+w] = v & mask
+		}
+	}
+	return out
+}
+
+// checkGolden compares a packed output block against goldenWords.
+func checkGolden(t *testing.T, label string, got, want []uint64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d words, golden model has %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: word %d = %#x, golden model %#x", label, i, got[i], want[i])
+		}
+	}
+}
+
+// TestRunStreamMatchesGoldenModel checks the streamed bitmap and
+// RunBatchWords against the DFG golden model at the fixed edge lane counts
+// and at the chunk edges, for the auto chunk width and a forced 2-word
+// width.
+func TestRunStreamMatchesGoldenModel(t *testing.T) {
+	c, err := CompileC(demoKernel, Options{Tech: ReRAM, ArraySize: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, blockWords := range []int{0, 2} {
+		s, err := c.newStreamer(StreamOptions{Parallelism: 3}, blockWords)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunk := s.ChunkLanes()
+		lanes := append([]int{chunk - 1, chunk, chunk + 1, 2*chunk + 1}, streamEdgeLanes...)
+		var sink BitmapSink
+		for _, n := range lanes {
+			in := randPackedBatch(c, n, int64(n)+5)
+			want := goldenWords(c, in, n)
+			if err := s.Run(in, n, &sink); err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, "stream", sink.Out, want)
+			got, err := c.RunBatchWords(in, n, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, "RunBatchWords", got, want)
+		}
+	}
+}
+
 // TestRunStreamMatchesScalar cross-checks the stream against the scalar
 // per-lane Machine path — the slowest, simplest oracle.
 func TestRunStreamMatchesScalar(t *testing.T) {
@@ -92,8 +175,12 @@ func TestRunStreamMatchesScalar(t *testing.T) {
 	outNames := c.OutputNames()
 	lanes := 70 // spans a word boundary
 	in := randPackedBatch(c, lanes, 99)
+	s, err := c.newStreamer(StreamOptions{Parallelism: 2}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var sink BitmapSink
-	if err := c.RunStream(in, lanes, &sink, StreamOptions{Parallelism: 2, ChunkLanes: 64}); err != nil {
+	if err := s.Run(in, lanes, &sink); err != nil {
 		t.Fatal(err)
 	}
 	W := (lanes + 63) / 64
@@ -123,7 +210,7 @@ func TestStreamSinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	numOut := len(c.OutputNames())
-	s, err := c.NewStreamer(StreamOptions{Parallelism: 3, ChunkLanes: 128})
+	s, err := c.newStreamer(StreamOptions{Parallelism: 3}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,6 +310,10 @@ func TestStreamAllSinkLiveLanes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s, err := c.newStreamer(StreamOptions{Parallelism: 2}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, lanes := range []int{1, 64, 65, 255, 257} {
 		W := (lanes + 63) / 64
 		in := make([]uint64, len(c.InputNames())*W)
@@ -230,7 +321,7 @@ func TestStreamAllSinkLiveLanes(t *testing.T) {
 			in[i] = ^uint64(0)
 		}
 		var sink AllSink
-		if err := c.RunStream(in, lanes, &sink, StreamOptions{Parallelism: 2, ChunkLanes: 64}); err != nil {
+		if err := s.Run(in, lanes, &sink); err != nil {
 			t.Fatal(err)
 		}
 		// a=b=c=1: t = (a&b)^c = 0; lo = t|~a = 0... all false; hi = t&b = 0.
@@ -247,8 +338,9 @@ func TestStreamAllSinkLiveLanes(t *testing.T) {
 	}
 }
 
-// TestRunStreamMillionRows runs the 1e6±1 differential: streamed count and
-// bitmap tallies must match RunBatchWords on the same million-row block.
+// TestRunStreamMillionRows runs the 1e6±1 differential: RunBatchWords must
+// match the golden model, and the streamed count and bitmap must match
+// RunBatchWords, on the same million-row block.
 func TestRunStreamMillionRows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("million-row differential skipped in -short")
@@ -269,6 +361,7 @@ func TestRunStreamMillionRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkGolden(t, "million-row RunBatchWords", want, goldenWords(c, in, lanes))
 		W := (lanes + 63) / 64
 		wantCounts := hostCount(want, numOut, W)
 
@@ -300,12 +393,6 @@ func TestRunStreamValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.NewStreamer(StreamOptions{ChunkLanes: 100}); err == nil {
-		t.Error("ChunkLanes not a multiple of 64 should fail")
-	}
-	if _, err := c.NewStreamer(StreamOptions{ChunkLanes: -64}); err == nil {
-		t.Error("negative ChunkLanes should fail")
-	}
 	s, err := c.NewStreamer(StreamOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -335,7 +422,7 @@ func TestStreamerZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := c.NewStreamer(StreamOptions{Parallelism: 2, ChunkLanes: 256})
+	s, err := c.newStreamer(StreamOptions{Parallelism: 2}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -256,3 +256,55 @@ func BenchmarkCoalescerSubmit(b *testing.B) {
 	}
 	b.ReportMetric(float64(callers*lanes)*float64(b.N)/b.Elapsed().Seconds(), "vectors_per_sec")
 }
+
+// BenchmarkCoalescerDirect measures direct (unmerged) requests from 8
+// concurrent callers at the two size classes on either side of the
+// coalescer's Streamer split: stage-4096 fits one streaming chunk of the
+// stage kernel and runs as a RunBatchWords pass per request; aes-1024
+// spans four 256-lane chunks of the quick AES kernel and runs on the
+// Streamer, which spreads each request over every shard.
+func BenchmarkCoalescerDirect(b *testing.B) {
+	const callers = 8
+	run := func(b *testing.B, e *Entry, lanes int) {
+		rng := rand.New(rand.NewSource(78))
+		ins := make([][]uint64, callers)
+		for c := range ins {
+			ins[c], _ = packWords(e.InputNames, randBatch(rng, e.InputNames, lanes))
+		}
+		q := NewCoalescer(e.Compiled, CoalescerConfig{Window: -1})
+		outs := make([][]uint64, callers)
+		wave := func() {
+			var wg sync.WaitGroup
+			for c := 0; c < callers; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					var err error
+					outs[c], err = q.Submit(ins[c], lanes, outs[c])
+					if err != nil {
+						b.Error(err)
+					}
+				}(c)
+			}
+			wg.Wait()
+		}
+		wave() // build the Streamer, machines and output buffers
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			wave()
+		}
+		b.ReportMetric(float64(callers*lanes)*float64(b.N)/b.Elapsed().Seconds(), "vectors_per_sec")
+	}
+	b.Run("stage-4096", func(b *testing.B) {
+		run(b, mustCompile(b, kStage), 4096)
+	})
+	b.Run("aes-1024", func(b *testing.B) {
+		g, opts := quickAES(b)
+		e, err := NewRegistry(RegistryConfig{}).CompileGraph(g, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		run(b, e, 1024)
+	})
+}

@@ -15,12 +15,14 @@ import (
 // full 256-lane executor passes instead of fragmenting into under-filled
 // ones. A batch flushes when the pending lane count reaches MaxBatchLanes
 // (size trigger) or when the window timer expires after the first pending
-// request (time trigger), whichever comes first. Requests larger than the
+// request (time trigger), whichever comes first. Requests at or above the
 // batch threshold bypass the queue entirely — they already fill their own
-// passes; bulk requests at or above StreamMinLanes skip batching AND
-// buffering and run through the facade's chunked streaming pipeline
-// (Compiled.RunStream machinery), whose per-shard machine pipelines beat
-// a single materializing RunBatchWords pass on large blocks.
+// passes. A direct request wider than one streaming chunk runs on the
+// coalescer's Streamer, which spreads its chunks over every shard; a
+// narrower one is a single-core job and runs as one RunBatchWords pass, so
+// concurrent requests of that size still execute in parallel. Merged
+// batches always take RunBatchWords: sending them through the one
+// Streamer would serialize them.
 //
 // Merging is bit-exact: each caller's lanes pack contiguously (bit-shifted,
 // not word-aligned) into the merged block and demux back out, so outputs
@@ -32,13 +34,16 @@ type Coalescer struct {
 	numOut int
 
 	maxLanes    int
-	streamMin   int
 	window      time.Duration
 	parallelism int
 	limiter     *pool.Limiter
+	hub         *coalesceHub // service-wide totals; nil for a standalone coalescer
 
-	streamer     *sherlock.Streamer // under mu; nil until first bulk request
-	streamClosed bool               // under mu; Close or failed setup
+	// The direct-request Streamer, built on the first direct request. It
+	// holds no goroutines, and no machines until a chunk runs.
+	streamOnce sync.Once
+	streamer   *sherlock.Streamer
+	streamErr  error
 
 	mu           sync.Mutex
 	pending      []*pendingReq
@@ -58,8 +63,31 @@ type CoalescerStats struct {
 	SizeFlushes  int64 // flushed by the lane threshold
 	TimerFlushes int64 // flushed by the window timer
 	DirectRuns   int64 // oversized requests that bypassed the queue
-	StreamRuns   int64 // bulk requests served by the streaming pipeline
+	StreamRuns   int64 // direct requests served by the Streamer
 	MaxBatch     int64 // largest merged batch, in lanes
+}
+
+// add folds d into s: counters sum, MaxBatch takes the maximum.
+func (s *CoalescerStats) add(d CoalescerStats) {
+	s.Requests += d.Requests
+	s.Lanes += d.Lanes
+	s.Flushes += d.Flushes
+	s.SizeFlushes += d.SizeFlushes
+	s.TimerFlushes += d.TimerFlushes
+	s.DirectRuns += d.DirectRuns
+	s.StreamRuns += d.StreamRuns
+	s.MaxBatch = max(s.MaxBatch, d.MaxBatch)
+}
+
+// coalesceHub is the state a Service shares with its coalescers, so that
+// it never holds a coalescer (and through it a compiled program) longer
+// than the registry does: counters every coalescer adds into, and the set
+// of coalescers whose batch window is open, for Drain.
+type coalesceHub struct {
+	mu     sync.Mutex
+	stats  CoalescerStats
+	queues int
+	open   map[*Coalescer]struct{}
 }
 
 type pendingReq struct {
@@ -89,16 +117,16 @@ type CoalescerConfig struct {
 	// Limiter, when non-nil, bounds concurrent executor passes across all
 	// coalescers sharing it.
 	Limiter *pool.Limiter
-	// StreamMinLanes is the bulk-request threshold: direct requests of at
-	// least this many lanes run through the chunked streaming pipeline
-	// instead of one materializing RunBatchWords pass. 0 selects the
-	// default (DefaultStreamMinLanes); negative disables streaming.
-	StreamMinLanes int
+
+	hub *coalesceHub // set by Service
 }
 
-// DefaultStreamMinLanes is the default streaming threshold: 16 full
-// 256-lane executor passes, where pipeline overlap clearly pays for the
-// chunk bookkeeping.
+// DefaultStreamMinLanes was the bulk-request size at which direct requests
+// switched to the streaming path: 16 full 256-lane executor passes.
+//
+// Deprecated: the coalescer now streams every direct request wider than
+// one streaming chunk and reads no threshold. The constant remains as a
+// conventional bulk-request size.
 const DefaultStreamMinLanes = 4096
 
 // NewCoalescer builds a coalescer over a compiled program.
@@ -109,52 +137,43 @@ func NewCoalescer(c *sherlock.Compiled, cfg CoalescerConfig) *Coalescer {
 	if cfg.Window == 0 {
 		cfg.Window = 200 * time.Microsecond
 	}
-	if cfg.StreamMinLanes == 0 {
-		cfg.StreamMinLanes = DefaultStreamMinLanes
-	}
 	return &Coalescer{
 		c:           c,
 		numIn:       len(c.InputNames()),
 		numOut:      len(c.OutputNames()),
 		maxLanes:    cfg.MaxBatchLanes,
-		streamMin:   cfg.StreamMinLanes,
 		window:      cfg.Window,
 		parallelism: cfg.Parallelism,
 		limiter:     cfg.Limiter,
+		hub:         cfg.hub,
 	}
 }
 
-// Close releases the streaming pipeline's goroutines, if one was built.
-// The coalescer itself remains usable — later bulk requests fall back to
-// the batch path.
-func (q *Coalescer) Close() {
-	q.mu.Lock()
-	s := q.streamer
-	q.streamer, q.streamClosed = nil, true
-	q.mu.Unlock()
-	if s != nil {
-		s.Close() // waits out any in-flight streamed run
+// addLocked counts d into the coalescer's stats and, inside a Service,
+// into the service-wide totals. Callers hold q.mu.
+func (q *Coalescer) addLocked(d CoalescerStats) {
+	q.stats.add(d)
+	if q.hub != nil {
+		q.hub.mu.Lock()
+		q.hub.stats.add(d)
+		q.hub.mu.Unlock()
 	}
 }
 
-// streamerFor lazily builds the shared streaming pipeline. A nil return
-// means streaming is unavailable (closed, or setup failed) and the caller
-// should use the batch path.
-func (q *Coalescer) streamerFor() *sherlock.Streamer {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.streamClosed {
-		return nil
+// setOpenLocked records in the hub whether q has a pending batch window,
+// so Drain finds it even after the registry has evicted its entry.
+// Callers hold q.mu.
+func (q *Coalescer) setOpenLocked(open bool) {
+	if q.hub == nil {
+		return
 	}
-	if q.streamer == nil {
-		s, err := q.c.NewStreamer(sherlock.StreamOptions{Parallelism: q.parallelism})
-		if err != nil {
-			q.streamClosed = true
-			return nil
-		}
-		q.streamer = s
+	q.hub.mu.Lock()
+	if open {
+		q.hub.open[q] = struct{}{}
+	} else {
+		delete(q.hub.open, q)
 	}
-	return q.streamer
+	q.hub.mu.Unlock()
 }
 
 // Submit runs lanes packed input vectors (RunBatchWords layout, stride
@@ -182,28 +201,28 @@ func (q *Coalescer) Submit(in []uint64, lanes int, out []uint64) ([]uint64, erro
 	if lanes >= q.maxLanes {
 		// Already fills its own pass(es): run directly, no window latency.
 		q.mu.Lock()
-		q.stats.Requests++
-		q.stats.Lanes += int64(lanes)
-		q.stats.DirectRuns++
+		q.addLocked(CoalescerStats{Requests: 1, Lanes: int64(lanes), DirectRuns: 1})
 		q.mu.Unlock()
 		return q.runDirect(in, lanes, out)
 	}
 
 	req := &pendingReq{in: in, lanes: lanes, out: out, done: make(chan error, 1)}
 	q.mu.Lock()
-	q.stats.Requests++
-	q.stats.Lanes += int64(lanes)
+	q.addLocked(CoalescerStats{Requests: 1, Lanes: int64(lanes)})
 	q.pending = append(q.pending, req)
 	q.pendingLanes += lanes
 	if q.pendingLanes >= q.maxLanes {
 		batch, lanes := q.takeLocked()
-		q.stats.SizeFlushes++
+		q.addLocked(CoalescerStats{SizeFlushes: 1})
 		q.mu.Unlock()
 		q.flushBatch(batch, lanes)
 	} else {
-		if len(q.pending) == 1 && q.window > 0 {
-			gen := q.gen
-			q.timer = time.AfterFunc(q.window, func() { q.flushGen(gen) })
+		if len(q.pending) == 1 {
+			q.setOpenLocked(true)
+			if q.window > 0 {
+				gen := q.gen
+				q.timer = time.AfterFunc(q.window, func() { q.flushGen(gen) })
+			}
 		}
 		q.mu.Unlock()
 	}
@@ -247,7 +266,7 @@ func (q *Coalescer) flushGen(gen uint64) {
 	}
 	batch, lanes := q.takeLocked()
 	if batch != nil {
-		q.stats.TimerFlushes++
+		q.addLocked(CoalescerStats{TimerFlushes: 1})
 	}
 	q.mu.Unlock()
 	q.flushBatch(batch, lanes)
@@ -256,9 +275,6 @@ func (q *Coalescer) flushGen(gen uint64) {
 // takeLocked claims the pending batch. Callers hold q.mu.
 func (q *Coalescer) takeLocked() ([]*pendingReq, int) {
 	batch, lanes := q.pending, q.pendingLanes
-	if lanes > int(q.stats.MaxBatch) {
-		q.stats.MaxBatch = int64(lanes)
-	}
 	q.pending, q.pendingLanes = nil, 0
 	q.gen++
 	if q.timer != nil {
@@ -266,7 +282,8 @@ func (q *Coalescer) takeLocked() ([]*pendingReq, int) {
 		q.timer = nil
 	}
 	if batch != nil {
-		q.stats.Flushes++
+		q.addLocked(CoalescerStats{Flushes: 1, MaxBatch: int64(lanes)})
+		q.setOpenLocked(false)
 	}
 	return batch, lanes
 }
@@ -323,31 +340,32 @@ func (q *Coalescer) flushBatch(batch []*pendingReq, total int) {
 	q.scratch.Put(s)
 }
 
-// runDirect executes an oversized request without merging. Bulk requests
-// (>= StreamMinLanes) go through the chunked streaming pipeline with a
-// bitmap sink writing straight into the caller's buffer — bit-identical
-// to the batch path, pinned by the serve differential tests. If the
-// pipeline is unavailable (closed mid-shutdown, setup failure), the
-// request falls back to one materializing RunBatchWords pass.
+// runDirect executes an oversized request without merging. A request
+// wider than one streaming chunk runs on the Streamer with a bitmap sink
+// writing straight into the caller's buffer; anything narrower is one
+// chunk's work and runs as a RunBatchWords pass, concurrently with other
+// such requests. Both are bit-identical, pinned by the serve differential
+// tests.
 func (q *Coalescer) runDirect(in []uint64, lanes int, out []uint64) ([]uint64, error) {
-	if q.streamMin > 0 && lanes >= q.streamMin {
-		if s := q.streamerFor(); s != nil {
-			sink := sherlock.BitmapSink{Out: out}
-			q.limiter.Acquire()
-			err := s.Run(in, lanes, &sink)
-			q.limiter.Release()
-			if err == nil {
-				q.mu.Lock()
-				q.stats.StreamRuns++
-				q.mu.Unlock()
-				return sink.Out, nil
-			}
-			// Closed under us: fall through to the batch path.
-		}
+	q.streamOnce.Do(func() {
+		q.streamer, q.streamErr = q.c.NewStreamer(sherlock.StreamOptions{Parallelism: q.parallelism})
+	})
+	if q.streamErr != nil {
+		return nil, q.streamErr
 	}
 	q.limiter.Acquire()
 	defer q.limiter.Release()
-	return q.c.RunBatchWords(in, lanes, out, q.parallelism)
+	if lanes <= q.streamer.ChunkLanes() {
+		return q.c.RunBatchWords(in, lanes, out, q.parallelism)
+	}
+	sink := sherlock.BitmapSink{Out: out}
+	if err := q.streamer.Run(in, lanes, &sink); err != nil {
+		return nil, err
+	}
+	q.mu.Lock()
+	q.addLocked(CoalescerStats{StreamRuns: 1})
+	q.mu.Unlock()
+	return sink.Out, nil
 }
 
 // laneWords is W, the word stride of a packed block of `lanes` lanes.

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -23,15 +22,12 @@ type Config struct {
 	Window time.Duration
 	// MaxBatchLanes is the size flush trigger (default 256 = one pass).
 	MaxBatchLanes int
-	// Parallelism bounds each merged batch's worker fan-out (RunBatchWords).
+	// Parallelism bounds each merged batch's worker fan-out (RunBatchWords)
+	// and sets the shard count of each kernel's direct-request Streamer.
 	Parallelism int
 	// MaxConcurrentPasses bounds executor passes in flight across all
 	// kernels (0 = unlimited).
 	MaxConcurrentPasses int
-	// StreamMinLanes is the bulk-request streaming threshold (see
-	// CoalescerConfig.StreamMinLanes: 0 selects DefaultStreamMinLanes,
-	// negative disables the streaming path).
-	StreamMinLanes int
 	// Backend pins routing for every request (BackendAuto = per-request
 	// cost-model decision).
 	Backend Backend
@@ -47,8 +43,7 @@ type Service struct {
 	router  *Router
 	limiter *pool.Limiter
 
-	mu          sync.Mutex
-	coalescers  []*Coalescer // every queue ever built, for Drain and Stats
+	hub         coalesceHub // coalescer totals and open windows; holds no evicted kernel
 	cimRequests atomic.Int64
 	cpuRequests atomic.Int64
 	vectors     atomic.Int64
@@ -61,6 +56,7 @@ func NewService(cfg Config) *Service {
 		reg:     NewRegistry(cfg.Registry),
 		router:  NewRouter(cfg.CPU),
 		limiter: pool.NewLimiter(cfg.MaxConcurrentPasses),
+		hub:     coalesceHub{open: make(map[*Coalescer]struct{})},
 	}
 }
 
@@ -147,51 +143,48 @@ func (s *Service) Route(e *Entry, lanes int) (Decision, error) {
 	return s.router.Route(e, lanes, force)
 }
 
-// coalescerFor returns the entry's batch queue, building and registering
-// it (for Drain and Stats) exactly once.
+// coalescerFor returns the entry's batch queue, building it exactly once.
+// The queue lives as long as the entry: the service keeps only the hub's
+// counters, and a reference while the queue's batch window is open.
 func (s *Service) coalescerFor(e *Entry) *Coalescer {
 	e.coalOnce.Do(func() {
 		e.coal = NewCoalescer(e.Compiled, CoalescerConfig{
-			MaxBatchLanes:  s.cfg.MaxBatchLanes,
-			Window:         s.cfg.Window,
-			Parallelism:    s.cfg.Parallelism,
-			Limiter:        s.limiter,
-			StreamMinLanes: s.cfg.StreamMinLanes,
+			MaxBatchLanes: s.cfg.MaxBatchLanes,
+			Window:        s.cfg.Window,
+			Parallelism:   s.cfg.Parallelism,
+			Limiter:       s.limiter,
+			hub:           &s.hub,
 		})
-		s.mu.Lock()
-		s.coalescers = append(s.coalescers, e.coal)
-		s.mu.Unlock()
+		s.hub.mu.Lock()
+		s.hub.queues++
+		s.hub.mu.Unlock()
 	})
 	return e.coal
 }
 
-// Drain flushes every batch window (shutdown path: no request waits out a
-// timer that may never fire again).
+// Drain flushes every open batch window, including windows of kernels the
+// registry has since evicted (shutdown path: no request waits out a timer
+// that may never fire again). The service stays usable.
 func (s *Service) Drain() {
-	s.mu.Lock()
-	qs := append([]*Coalescer(nil), s.coalescers...)
-	s.mu.Unlock()
+	s.hub.mu.Lock()
+	qs := make([]*Coalescer, 0, len(s.hub.open))
+	for q := range s.hub.open { //sherlock:allow rangemap (flush order is irrelevant)
+		qs = append(qs, q)
+	}
+	s.hub.mu.Unlock()
 	for _, q := range qs {
 		q.Flush()
 	}
 }
 
-// Close drains every batch window and releases the streaming pipelines.
-// The service remains usable; later bulk requests use the batch path.
-func (s *Service) Close() {
-	s.Drain()
-	s.mu.Lock()
-	qs := append([]*Coalescer(nil), s.coalescers...)
-	s.mu.Unlock()
-	for _, q := range qs {
-		q.Close()
-	}
-}
+// Close is Drain: the service holds no goroutines or pipelines to release,
+// and stays usable afterwards.
+func (s *Service) Close() { s.Drain() }
 
 // Stats is the service-wide counter snapshot.
 type Stats struct {
 	Registry    memo.Stats
-	Coalesce    CoalescerStats // summed over all kernels' queues
+	Coalesce    CoalescerStats // summed over every queue built, evicted ones included
 	Queues      int            // coalescers built
 	CIMRequests int64
 	CPURequests int64
@@ -206,22 +199,8 @@ func (s *Service) Stats() Stats {
 		CPURequests: s.cpuRequests.Load(),
 		Vectors:     s.vectors.Load(),
 	}
-	s.mu.Lock()
-	qs := append([]*Coalescer(nil), s.coalescers...)
-	s.mu.Unlock()
-	st.Queues = len(qs)
-	for _, q := range qs {
-		cs := q.Stats()
-		st.Coalesce.Requests += cs.Requests
-		st.Coalesce.Lanes += cs.Lanes
-		st.Coalesce.Flushes += cs.Flushes
-		st.Coalesce.SizeFlushes += cs.SizeFlushes
-		st.Coalesce.TimerFlushes += cs.TimerFlushes
-		st.Coalesce.DirectRuns += cs.DirectRuns
-		st.Coalesce.StreamRuns += cs.StreamRuns
-		if cs.MaxBatch > st.Coalesce.MaxBatch {
-			st.Coalesce.MaxBatch = cs.MaxBatch
-		}
-	}
+	s.hub.mu.Lock()
+	st.Coalesce, st.Queues = s.hub.stats, s.hub.queues
+	s.hub.mu.Unlock()
 	return st
 }

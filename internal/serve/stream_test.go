@@ -2,22 +2,34 @@ package serve
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+
+	"sherlock"
 )
 
-// TestCoalesceStreamBulk pins the streaming direct path: a request at or
-// above StreamMinLanes is served by the chunked pipeline, counted in
-// StreamRuns, and bit-identical to RunBatchWords — including the awkward
-// lane counts around chunk edges.
+// directChunkLanes is the chunk width of the kernel's direct-request
+// Streamer: the lane count above which a direct request streams.
+func directChunkLanes(t *testing.T, e *Entry) int {
+	t.Helper()
+	s, err := e.Compiled.NewStreamer(sherlock.StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.ChunkLanes()
+}
+
+// TestCoalesceStreamBulk pins the direct path's size split: a direct
+// request wider than one streaming chunk is served by the Streamer and
+// counted in StreamRuns; one that fits a chunk runs as a RunBatchWords
+// pass. Both are bit-identical to RunBatchWords at the chunk edges.
 func TestCoalesceStreamBulk(t *testing.T) {
 	e := mustCompile(t, kStage)
-	q := NewCoalescer(e.Compiled, CoalescerConfig{
-		MaxBatchLanes: 64, Window: -1, StreamMinLanes: 512,
-	})
-	defer q.Close()
+	chunk := directChunkLanes(t, e)
+	q := NewCoalescer(e.Compiled, CoalescerConfig{MaxBatchLanes: 64, Window: -1})
 	rng := rand.New(rand.NewSource(11))
-	var streamed int64
-	for _, lanes := range []int{512, 513, 1023, 4096, 4097} {
+	var direct, streamed int64
+	for _, lanes := range []int{100, 4096, chunk - 1, chunk, chunk + 1, 2*chunk + 1} {
 		batch := randBatch(rng, e.InputNames, lanes)
 		in, _ := packWords(e.InputNames, batch)
 		want, err := e.Compiled.RunBatchWords(in, lanes, nil, 0)
@@ -28,104 +40,144 @@ func TestCoalesceStreamBulk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkWordsEqual(t, "streamed bulk run", got, want)
-		streamed++
+		checkWordsEqual(t, "direct run", got, want)
+		direct++
+		if lanes > chunk {
+			streamed++
+		}
 		st := q.Stats()
 		if st.StreamRuns != streamed {
-			t.Fatalf("lanes %d: StreamRuns = %d, want %d", lanes, st.StreamRuns, streamed)
+			t.Fatalf("lanes %d (chunk %d): StreamRuns = %d, want %d", lanes, chunk, st.StreamRuns, streamed)
 		}
-		if st.DirectRuns != streamed {
-			t.Fatalf("lanes %d: DirectRuns = %d, want %d", lanes, st.DirectRuns, streamed)
+		if st.DirectRuns != direct {
+			t.Fatalf("lanes %d: DirectRuns = %d, want %d", lanes, st.DirectRuns, direct)
 		}
 	}
+}
 
-	// Below the threshold but above the batch cap: direct, not streamed.
-	batch := randBatch(rng, e.InputNames, 100)
-	in, _ := packWords(e.InputNames, batch)
-	if _, err := q.Submit(in, 100, nil); err != nil {
-		t.Fatal(err)
-	}
-	if st := q.Stats(); st.StreamRuns != streamed {
-		t.Fatalf("sub-threshold request streamed: StreamRuns = %d, want %d", st.StreamRuns, streamed)
+// TestCoalesceStreamMatchesGoldenModel drives every test kernel's direct
+// path (both sides of the size split) at the fixed edge lane counts and
+// the chunk edges, against the DFG golden model.
+func TestCoalesceStreamMatchesGoldenModel(t *testing.T) {
+	for ki, src := range testKernels() {
+		e := mustCompile(t, src)
+		chunk := directChunkLanes(t, e)
+		q := NewCoalescer(e.Compiled, CoalescerConfig{MaxBatchLanes: 1, Window: -1, Parallelism: 2})
+		lanes := []int{1, 63, 64, 65, 255, 256, 257, 4095, 4096, chunk - 1, chunk, chunk + 1, 2*chunk + 1}
+		for _, n := range lanes {
+			rng := rand.New(rand.NewSource(int64(ki*100000 + n)))
+			in := make([]uint64, len(e.InputNames)*laneWords(n))
+			for i := range in {
+				in[i] = rng.Uint64() // dead lanes carry garbage on purpose
+			}
+			got, err := q.Submit(in, n, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The CPU backend evaluates the DFG golden model
+			// (dfg.WordEvaluator) and shares no code with the ExecMachine.
+			want, err := runCPU(e, in, n, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkWordsEqual(t, "direct run vs golden model", got, want)
+		}
+		var streamed int64
+		for _, n := range lanes {
+			if n > chunk {
+				streamed++
+			}
+		}
+		if st := q.Stats(); st.StreamRuns != streamed || st.DirectRuns != int64(len(lanes)) {
+			t.Fatalf("kernel %d (chunk %d): StreamRuns = %d, DirectRuns = %d; want %d and %d",
+				ki, chunk, st.StreamRuns, st.DirectRuns, streamed, len(lanes))
+		}
 	}
 }
 
-// TestCoalesceStreamDisabled: a negative threshold keeps every bulk
-// request on the materializing batch path.
-func TestCoalesceStreamDisabled(t *testing.T) {
-	e := mustCompile(t, kMaj)
-	q := NewCoalescer(e.Compiled, CoalescerConfig{
-		MaxBatchLanes: 64, Window: -1, StreamMinLanes: -1,
-	})
-	defer q.Close()
-	rng := rand.New(rand.NewSource(12))
-	batch := randBatch(rng, e.InputNames, 8192)
-	in, _ := packWords(e.InputNames, batch)
-	want, err := e.Compiled.RunBatchWords(in, 8192, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := q.Submit(in, 8192, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkWordsEqual(t, "stream-disabled bulk run", got, want)
-	if st := q.Stats(); st.StreamRuns != 0 {
-		t.Fatalf("StreamRuns = %d with streaming disabled", st.StreamRuns)
-	}
-}
-
-// TestCoalesceStreamAfterClose: Close releases the pipeline; later bulk
-// requests still succeed (batch-path fallback), and Close is idempotent.
-func TestCoalesceStreamAfterClose(t *testing.T) {
-	e := mustCompile(t, kParity)
-	q := NewCoalescer(e.Compiled, CoalescerConfig{
-		MaxBatchLanes: 64, Window: -1, StreamMinLanes: 256,
-	})
-	rng := rand.New(rand.NewSource(13))
-	batch := randBatch(rng, e.InputNames, 1024)
-	in, _ := packWords(e.InputNames, batch)
-	if _, err := q.Submit(in, 1024, nil); err != nil {
-		t.Fatal(err)
-	}
-	q.Close()
-	q.Close()
-	want, err := e.Compiled.RunBatchWords(in, 1024, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := q.Submit(in, 1024, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkWordsEqual(t, "post-close bulk run", got, want)
-	if st := q.Stats(); st.StreamRuns != 1 {
-		t.Fatalf("StreamRuns = %d after Close, want 1 (pre-close only)", st.StreamRuns)
-	}
-}
-
-// TestServiceStreamConfig: the service passes the threshold through and
-// sums StreamRuns; Close shuts the pipelines down service-wide.
+// TestServiceStreamConfig: the service's configuration reaches each
+// kernel's direct-request Streamer, the service sums StreamRuns, and
+// Close leaves the service usable.
 func TestServiceStreamConfig(t *testing.T) {
-	s := NewService(Config{Window: -1, StreamMinLanes: 512, Backend: BackendCIM})
+	s := NewService(Config{Window: -1, Parallelism: 2, Backend: BackendCIM})
 	e, err := s.CompileC(kMux, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
+	lanes := directChunkLanes(t, e) + 1
 	rng := rand.New(rand.NewSource(14))
-	batch := randBatch(rng, e.InputNames, 2000)
+	batch := randBatch(rng, e.InputNames, lanes)
 	in, _ := packWords(e.InputNames, batch)
-	want, err := e.Compiled.RunBatchWords(in, 2000, nil, 0)
+	want, err := e.Compiled.RunBatchWords(in, lanes, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := s.RunWords(e, in, 2000, nil, BackendCIM)
+	for round := int64(1); round <= 2; round++ {
+		got, _, err := s.RunWords(e, in, lanes, nil, BackendCIM)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkWordsEqual(t, "service streamed run", got, want)
+		if st := s.Stats(); st.Coalesce.StreamRuns != round {
+			t.Fatalf("round %d: service StreamRuns = %d, want %d", round, st.Coalesce.StreamRuns, round)
+		}
+		if sh := e.coal.streamer.Shards(); sh != 2 {
+			t.Fatalf("direct Streamer has %d shards, want Config.Parallelism = 2", sh)
+		}
+		s.Close()
+	}
+}
+
+// TestServiceDrainFlushesEvictedWindow: Drain still flushes a batch window
+// whose kernel the registry has evicted, and a recompiled kernel gets a
+// fresh queue while the counters keep the evicted one's traffic.
+func TestServiceDrainFlushesEvictedWindow(t *testing.T) {
+	s := NewService(Config{Window: -1, Backend: BackendCIM, Registry: RegistryConfig{MaxPrograms: 1}})
+	a, err := s.CompileC(kMaj, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkWordsEqual(t, "service streamed run", got, want)
-	if st := s.Stats(); st.Coalesce.StreamRuns != 1 {
-		t.Fatalf("service StreamRuns = %d, want 1", st.Coalesce.StreamRuns)
+	rng := rand.New(rand.NewSource(22))
+	in, _ := packWords(a.InputNames, randBatch(rng, a.InputNames, 8))
+	want, err := a.Compiled.RunBatchWords(in, 8, nil, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	s.Close()
+	type result struct {
+		out []uint64
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		out, _, err := s.RunWords(a, in, 8, nil, BackendCIM)
+		done <- result{out, err}
+	}()
+	for s.coalescerFor(a).PendingLanes() == 0 {
+		runtime.Gosched()
+	}
+	if _, err := s.CompileC(kStage, testOptions()); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Lookup(a.Key); ok {
+		t.Fatal("kernel not evicted")
+	}
+	s.Drain()
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	checkWordsEqual(t, "drained evicted window", r.out, want)
+
+	again, err := s.CompileC(kMaj, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bulk, _ := packWords(again.InputNames, randBatch(rng, again.InputNames, 300))
+	if _, _, err := s.RunWords(again, bulk, 300, nil, BackendCIM); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if st.Queues != 2 || st.Coalesce.Requests != 2 || st.Coalesce.Flushes != 1 || st.Coalesce.DirectRuns != 1 {
+		t.Fatalf("stats %+v (queues %d), want 2 queues, 2 requests, 1 flush, 1 direct run", st.Coalesce, st.Queues)
+	}
 }

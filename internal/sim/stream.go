@@ -2,29 +2,21 @@ package sim
 
 // Chunked streaming execution: arbitrarily large lane counts flow through a
 // bounded set of wide ExecMachines instead of materializing one machine (or
-// one output block) per 256-lane group. A Stream owns S shards; each shard
-// owns a small ring of machines and, in the default pipelined mode, three
-// persistent stage goroutines:
+// one output block) per 256-lane group. A Stream owns S shards, each with
+// one machine. Run claims chunks dynamically on the caller's goroutine plus
+// up to min(S, chunks)-1 workers started for that run; each shard packs,
+// executes and reduces its chunk inline before claiming the next, so the N
+// shards execute N chunks concurrently. A one-chunk run never leaves the
+// caller's goroutine, and no goroutine persists between runs.
 //
-//	pack    — claims the next chunk, retargets a free machine's lane
-//	          geometry and fills its input scratch from the caller's block
-//	exec    — runs the decoded program over the chunk's lanes
-//	reduce  — reads the chunk's output words and folds them into the
-//	          caller's sink (or output block)
-//
-// so while a shard executes chunk k it is already packing chunk k+1 and
-// still reducing chunk k-1 — the stages overlap within a shard, and the N
-// shards execute N chunks concurrently. Machines hand off between stages
-// through channels (the channel send is the happens-before edge), so no
-// machine is ever touched by two stages at once.
-//
-// Serial mode (StreamConfig.Serial) runs pack, exec and reduce inline on
-// one goroutine per shard with a single machine — the ablation baseline
-// that measures what the stage overlap buys.
+// Stages do not overlap within a shard: they share one core's cache and
+// memory bandwidth, and a pipelined shard (three goroutines over a
+// three-machine ring) measured slower than this loop on the million-row
+// COUNT plan (DESIGN.md §6b).
 //
 // Error semantics mirror pool.Run: the first error by chunk index wins,
-// later chunks are skipped (packed slots drain through the pipeline
-// unexecuted), and Run returns after every shard has quiesced.
+// later chunks are skipped, and Run returns after every worker has
+// finished.
 
 import (
 	"fmt"
@@ -49,40 +41,33 @@ type StreamConfig struct {
 	// MaxStreamBlockWords] that keeps one machine's state near
 	// streamStateBudget bytes.
 	BlockWords int
-	// Shards is the number of concurrent chunk pipelines
-	// (0 = runtime.GOMAXPROCS(0)).
+	// Shards is the number of chunks executed concurrently, each on its
+	// own machine (0 = runtime.GOMAXPROCS(0)).
 	Shards int
-	// Serial disables the stage overlap: each shard packs, executes and
-	// reduces its chunks inline on one goroutine (ablation + debugging;
-	// results are identical).
-	Serial bool
 }
 
 // PackFunc fills m's input scratch (m.InputBlock()) for the chunk covering
 // lanes [startLane, startLane+lanes). The machine's lane geometry is
 // already set; every input slot's ceil(lanes/64) leading words must be
-// overwritten (the pipeline skips Reset's scratch clears).
+// overwritten (the stream skips Reset's scratch clears).
 type PackFunc func(m *ExecMachine, chunk, startLane, lanes int) error
 
 // ReduceFunc consumes one executed chunk from m — readout, fold, copy-out.
-// It runs on shard's reducer goroutine only, so per-shard accumulators
-// need no locking; chunks arrive in arbitrary global order.
+// It runs on the goroutine that packed and executed the chunk, never
+// concurrently for one shard, so per-shard accumulators need no locking;
+// chunks arrive in arbitrary global order.
 type ReduceFunc func(shard int, m *ExecMachine, chunk, startLane, lanes int) error
 
-// Stream is a reusable chunked execution pipeline over one decoded
-// program. One Run executes at a time (Run serializes internally); the
-// shards, machines and stage goroutines persist across runs, so a warmed
-// Stream runs with zero per-call allocations. Close releases the
-// goroutines; a Stream is not usable after Close.
+// Stream is a reusable chunked executor over one decoded program. One Run
+// executes at a time (Run serializes internally); the per-shard machines
+// persist across runs, so a warmed Stream runs with zero per-call
+// allocations. A Stream holds no goroutines between runs: dropping it
+// without Close leaks nothing, and Close only makes later Runs fail.
 type Stream struct {
-	e      *Exec
-	block  int // B, words per chunk
-	serial bool
-	shards []*streamShard
-
-	// shutdown is the sentinel slot that tells downstream stages to exit;
-	// nil slots mark end-of-run.
-	shutdown *streamSlot
+	e        *Exec
+	block    int            // B, words per chunk
+	machines []*ExecMachine // per shard; nil until the shard's first chunk
+	worker   func()         // s.work, bound once so starting a worker allocates nothing
 
 	runMu  sync.Mutex
 	closed bool
@@ -97,8 +82,9 @@ type streamJob struct {
 	pack       PackFunc
 	reduce     ReduceFunc
 
-	next atomic.Int64
-	stop atomic.Bool
+	next   atomic.Int64
+	shards atomic.Int64 // shard ids handed to workers (the caller is shard 0)
+	stop   atomic.Bool
 
 	mu       sync.Mutex
 	errChunk int
@@ -118,33 +104,8 @@ func (j *streamJob) fail(chunk int, err error) {
 	j.stop.Store(true)
 }
 
-// streamSlot is one in-flight chunk: a machine plus the chunk coordinates
-// it currently carries. skip marks slots whose pack failed (they drain
-// through exec and reduce untouched).
-type streamSlot struct {
-	m     *ExecMachine
-	chunk int
-	start int
-	lanes int
-	skip  bool
-}
-
-// streamShard is one pipeline lane: a machine ring and the channels its
-// stage goroutines hand slots through.
-type streamShard struct {
-	id    int
-	start chan struct{}
-	free  chan *streamSlot
-	exec  chan *streamSlot
-	red   chan *streamSlot
-}
-
-// streamRing is the machine ring depth of a pipelined shard: one slot per
-// stage, so pack, exec and reduce can all be busy at once.
-const streamRing = 3
-
-// NewStream builds a stream over a decoded program and starts its shard
-// goroutines. The caller owns the Stream and must Close it.
+// NewStream builds a stream over a decoded program. It allocates no
+// machine and starts no goroutine; both happen on demand in Run.
 func NewStream(e *Exec, cfg StreamConfig) (*Stream, error) {
 	block := cfg.BlockWords
 	if block == 0 {
@@ -157,36 +118,8 @@ func NewStream(e *Exec, cfg StreamConfig) (*Stream, error) {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	s := &Stream{
-		e:        e,
-		block:    block,
-		serial:   cfg.Serial,
-		shutdown: &streamSlot{},
-	}
-	ring := streamRing
-	if cfg.Serial {
-		ring = 1
-	}
-	for i := 0; i < shards; i++ {
-		sh := &streamShard{
-			id:    i,
-			start: make(chan struct{}, 1),
-			free:  make(chan *streamSlot, ring),
-			exec:  make(chan *streamSlot, ring),
-			red:   make(chan *streamSlot, ring),
-		}
-		for r := 0; r < ring; r++ {
-			sh.free <- &streamSlot{m: e.NewMachine(block)}
-		}
-		s.shards = append(s.shards, sh)
-		if cfg.Serial {
-			go s.serialShard(sh)
-		} else {
-			go s.packStage(sh)
-			go s.execStage(sh)
-			go s.reduceStage(sh)
-		}
-	}
+	s := &Stream{e: e, block: block, machines: make([]*ExecMachine, shards)}
+	s.worker = s.work
 	return s, nil
 }
 
@@ -214,16 +147,13 @@ func (s *Stream) BlockWords() int { return s.block }
 // ChunkLanes returns the lanes per chunk (B*64).
 func (s *Stream) ChunkLanes() int { return s.block * WordLanes }
 
-// Shards returns the concurrent pipeline count.
-func (s *Stream) Shards() int { return len(s.shards) }
+// Shards returns the maximum number of chunks executed concurrently.
+func (s *Stream) Shards() int { return len(s.machines) }
 
-// Serial reports whether stage overlap is disabled.
-func (s *Stream) Serial() bool { return s.serial }
-
-// Run streams lanes input vectors through the pipeline: chunk c covers
+// Run streams lanes input vectors through the stream: chunk c covers
 // lanes [c*ChunkLanes(), ...), pack fills each chunk's input scratch and
 // reduce consumes its outputs. Runs serialize; the first error (by chunk
-// index) is returned after the pipeline quiesces.
+// index) is returned after every worker has finished.
 func (s *Stream) Run(lanes int, pack PackFunc, reduce ReduceFunc) error {
 	if lanes <= 0 {
 		return fmt.Errorf("sim: stream of %d lanes", lanes)
@@ -239,28 +169,60 @@ func (s *Stream) Run(lanes int, pack PackFunc, reduce ReduceFunc) error {
 	j.chunks = (lanes + j.chunkLanes - 1) / j.chunkLanes
 	j.pack, j.reduce = pack, reduce
 	j.next.Store(0)
+	j.shards.Store(0)
 	j.stop.Store(false)
 	j.err, j.errChunk = nil, 0
-	j.wg.Add(len(s.shards))
-	for _, sh := range s.shards {
-		sh.start <- struct{}{}
+	workers := min(len(s.machines), j.chunks) - 1
+	j.wg.Add(workers)
+	for i := 0; i < workers; i++ {
+		go s.worker()
 	}
+	s.drain(0)
 	j.wg.Wait()
 	j.pack, j.reduce = nil, nil
 	return j.err
 }
 
-// Close stops every shard goroutine. Idempotent; in-flight Runs have
-// completed (Run holds the same lock).
+// Close makes later Runs fail. Idempotent; an in-flight Run completes
+// first (Run holds the same lock).
 func (s *Stream) Close() {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
-	if s.closed {
-		return
-	}
 	s.closed = true
-	for _, sh := range s.shards {
-		close(sh.start)
+}
+
+// work is one worker goroutine of a run: it takes the next shard id and
+// drains chunks on it.
+func (s *Stream) work() {
+	s.drain(int(s.job.shards.Add(1)))
+	s.job.wg.Done()
+}
+
+// drain claims chunks until the run is done or stopping, and packs,
+// executes and reduces each one inline on shard's machine.
+func (s *Stream) drain(shard int) {
+	j := &s.job
+	for {
+		chunk, start, lanes, ok := j.claim()
+		if !ok {
+			return
+		}
+		m := s.machines[shard]
+		if m == nil {
+			m = s.e.NewMachine(s.block)
+			s.machines[shard] = m
+		}
+		m.setLanes(lanes)
+		err := j.pack(m, chunk, start, lanes)
+		if err == nil {
+			err = m.Run(m.InputBlock())
+		}
+		if err == nil {
+			err = j.reduce(shard, m, chunk, start, lanes)
+		}
+		if err != nil {
+			j.fail(chunk, err)
+		}
 	}
 }
 
@@ -280,103 +242,4 @@ func (j *streamJob) claim() (chunk, start, lanes int, ok bool) {
 		lanes = j.chunkLanes
 	}
 	return chunk, start, lanes, true
-}
-
-// packStage is a shard's front goroutine: per run, claim chunks, pack them
-// into free machines, and push them to exec; a nil slot marks end-of-run.
-func (s *Stream) packStage(sh *streamShard) {
-	for range sh.start {
-		j := &s.job
-		for {
-			chunk, start, lanes, ok := j.claim()
-			if !ok {
-				break
-			}
-			slot := <-sh.free
-			slot.chunk, slot.start, slot.lanes, slot.skip = chunk, start, lanes, false
-			slot.m.setLanes(lanes)
-			if err := j.pack(slot.m, chunk, start, lanes); err != nil {
-				j.fail(chunk, err)
-				slot.skip = true
-			}
-			sh.exec <- slot
-		}
-		sh.exec <- nil
-	}
-	sh.exec <- s.shutdown
-}
-
-// execStage runs packed chunks and forwards them to reduce.
-func (s *Stream) execStage(sh *streamShard) {
-	for {
-		slot := <-sh.exec
-		if slot == s.shutdown {
-			sh.red <- slot
-			return
-		}
-		if slot == nil {
-			sh.red <- nil
-			continue
-		}
-		j := &s.job
-		if !slot.skip && !j.stop.Load() {
-			if err := slot.m.Run(slot.m.InputBlock()); err != nil {
-				j.fail(slot.chunk, err)
-				slot.skip = true
-			}
-		} else {
-			slot.skip = true
-		}
-		sh.red <- slot
-	}
-}
-
-// reduceStage consumes executed chunks and recycles their machines; the
-// end-of-run nil releases the shard's share of the run barrier.
-func (s *Stream) reduceStage(sh *streamShard) {
-	for {
-		slot := <-sh.red
-		if slot == s.shutdown {
-			return
-		}
-		j := &s.job
-		if slot == nil {
-			j.wg.Done()
-			continue
-		}
-		if !slot.skip && !j.stop.Load() {
-			if err := j.reduce(sh.id, slot.m, slot.chunk, slot.start, slot.lanes); err != nil {
-				j.fail(slot.chunk, err)
-			}
-		}
-		sh.free <- slot
-	}
-}
-
-// serialShard is the ablation pipeline: one goroutine, one machine, the
-// three stages run back to back per chunk with no overlap.
-func (s *Stream) serialShard(sh *streamShard) {
-	slot := <-sh.free
-	for range sh.start {
-		j := &s.job
-		for {
-			chunk, start, lanes, ok := j.claim()
-			if !ok {
-				break
-			}
-			slot.m.setLanes(lanes)
-			if err := j.pack(slot.m, chunk, start, lanes); err != nil {
-				j.fail(chunk, err)
-				continue
-			}
-			if err := slot.m.Run(slot.m.InputBlock()); err != nil {
-				j.fail(chunk, err)
-				continue
-			}
-			if err := j.reduce(sh.id, slot.m, chunk, start, lanes); err != nil {
-				j.fail(chunk, err)
-			}
-		}
-		j.wg.Done()
-	}
 }

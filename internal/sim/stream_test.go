@@ -2,9 +2,11 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"sherlock/internal/isa"
 	"sherlock/internal/layout"
@@ -98,30 +100,28 @@ func streamCollect(t *testing.T, e *Exec, st *Stream, lanes int) []uint64 {
 	return got
 }
 
-// TestStreamMatchesReference drives the pipeline across awkward chunk
-// edges in both overlap modes and at several shard counts; every word of
-// the streamed output must equal the host-computed AND.
+// TestStreamMatchesReference drives the stream across awkward chunk
+// edges at several shard counts; every word of the streamed output must
+// equal the host-computed AND.
 func TestStreamMatchesReference(t *testing.T) {
 	e := streamTestProg(t)
 	laneCases := []int{1, 63, 64, 65, 127, 128, 129, 255, 256, 257, 1000, 1023, 1024, 1025}
-	for _, serial := range []bool{false, true} {
-		for _, shards := range []int{1, 3} {
-			st, err := NewStream(e, StreamConfig{BlockWords: 2, Shards: shards, Serial: serial})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, lanes := range laneCases {
-				_, want := streamInputs(e, lanes)
-				got := streamCollect(t, e, st, lanes)
-				for w := range want {
-					if got[w] != want[w] {
-						t.Errorf("serial=%v shards=%d lanes=%d: word %d = %#x, want %#x",
-							serial, shards, lanes, w, got[w], want[w])
-					}
+	for _, shards := range []int{1, 3} {
+		st, err := NewStream(e, StreamConfig{BlockWords: 2, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, lanes := range laneCases {
+			_, want := streamInputs(e, lanes)
+			got := streamCollect(t, e, st, lanes)
+			for w := range want {
+				if got[w] != want[w] {
+					t.Errorf("shards=%d lanes=%d: word %d = %#x, want %#x",
+						shards, lanes, w, got[w], want[w])
 				}
 			}
-			st.Close()
 		}
+		st.Close()
 	}
 }
 
@@ -151,28 +151,26 @@ func TestStreamReuse(t *testing.T) {
 // one a sequential run would have hit first.
 func TestStreamLowestChunkError(t *testing.T) {
 	e := streamTestProg(t)
-	for _, serial := range []bool{false, true} {
-		st, err := NewStream(e, StreamConfig{BlockWords: 1, Shards: 3, Serial: serial})
-		if err != nil {
-			t.Fatal(err)
+	st, err := NewStream(e, StreamConfig{BlockWords: 1, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	pack := func(m *ExecMachine, chunk, start, n int) error {
+		if chunk >= 2 {
+			return fmt.Errorf("boom chunk %d", chunk)
 		}
-		pack := func(m *ExecMachine, chunk, start, n int) error {
-			if chunk >= 2 {
-				return fmt.Errorf("boom chunk %d", chunk)
-			}
-			clear(m.InputBlock())
-			return nil
-		}
-		reduce := func(shard int, m *ExecMachine, chunk, start, n int) error { return nil }
-		err = st.Run(64*64, pack, reduce)
-		if err == nil || !strings.Contains(err.Error(), "boom chunk 2") {
-			t.Errorf("serial=%v: want lowest-chunk error 'boom chunk 2', got %v", serial, err)
-		}
-		// The stream must stay usable after a failed run.
-		if err := st.Run(100, pack2OK(e), reduce); err != nil {
-			t.Errorf("serial=%v: run after failure: %v", serial, err)
-		}
-		st.Close()
+		clear(m.InputBlock())
+		return nil
+	}
+	reduce := func(shard int, m *ExecMachine, chunk, start, n int) error { return nil }
+	err = st.Run(64*64, pack, reduce)
+	if err == nil || !strings.Contains(err.Error(), "boom chunk 2") {
+		t.Errorf("want lowest-chunk error 'boom chunk 2', got %v", err)
+	}
+	// The stream must stay usable after a failed run.
+	if err := st.Run(100, pack2OK(e), reduce); err != nil {
+		t.Errorf("run after failure: %v", err)
 	}
 }
 
@@ -235,5 +233,88 @@ func TestStreamAutoBlockWords(t *testing.T) {
 	defer st.Close()
 	if st.ChunkLanes() != b*WordLanes {
 		t.Errorf("ChunkLanes = %d, want %d", st.ChunkLanes(), b*WordLanes)
+	}
+}
+
+// TestStreamMultiChunkZeroAlloc: a warmed multi-chunk Run over several
+// shards allocates nothing, worker goroutine starts included.
+func TestStreamMultiChunkZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under -race")
+	}
+	e := streamTestProg(t)
+	st, err := NewStream(e, StreamConfig{BlockWords: 2, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	pack := pack2OK(e)
+	reduce := func(int, *ExecMachine, int, int, int) error { return nil }
+	const lanes = 16 * 128 // 16 chunks
+	if err := st.Run(lanes, pack, reduce); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := st.Run(lanes, pack, reduce); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("warmed multi-chunk Run allocates %.1f objects/run, want 0", allocs)
+	}
+}
+
+// TestStreamDroppedHoldsNoGoroutines: a Stream that has run multi-chunk
+// work and is then dropped without Close leaves no goroutine behind.
+func TestStreamDroppedHoldsNoGoroutines(t *testing.T) {
+	e := streamTestProg(t)
+	before := runtime.NumGoroutine()
+	for i := 0; i < 4; i++ {
+		st, err := NewStream(e, StreamConfig{BlockWords: 1, Shards: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = streamCollect(t, e, st, 64*16)
+	}
+	// Workers signal completion just before they return; give the last
+	// ones a moment to exit.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Errorf("goroutines: %d before, %d after dropping streams", before, after)
+	}
+}
+
+// TestStreamOneChunkUsesOneShard: a run that fits one chunk executes on a
+// single shard, so only that shard's machine is ever built.
+func TestStreamOneChunkUsesOneShard(t *testing.T) {
+	e := streamTestProg(t)
+	st, err := NewStream(e, StreamConfig{BlockWords: 2, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for _, lanes := range []int{1, 65, 128} {
+		var used []int
+		reduce := func(shard int, m *ExecMachine, chunk, start, n int) error {
+			used = append(used, shard) // one chunk: no concurrent reducer
+			return nil
+		}
+		if err := st.Run(lanes, pack2OK(e), reduce); err != nil {
+			t.Fatal(err)
+		}
+		if len(used) != 1 || used[0] != 0 {
+			t.Errorf("lanes %d: reduced on shards %v, want [0]", lanes, used)
+		}
+	}
+	for i, m := range st.machines {
+		if (m != nil) != (i == 0) {
+			t.Errorf("shard %d machine built = %v, want only shard 0", i, m != nil)
+		}
+	}
+	if m := st.machines[0]; m.BlockWords() != st.BlockWords() {
+		t.Errorf("shard machine is %d words wide, want %d", m.BlockWords(), st.BlockWords())
 	}
 }

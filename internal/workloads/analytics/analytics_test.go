@@ -26,13 +26,13 @@ func TestScanCountMatchesHost(t *testing.T) {
 	cfg := DefaultScanConfig()
 	c := compileScan(t, cfg)
 	names := c.InputNames()
-	s, err := c.NewStreamer(sherlock.StreamOptions{Parallelism: 2, ChunkLanes: 256})
+	s, err := c.NewStreamer(sherlock.StreamOptions{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	var sink sherlock.CountSink
-	for _, rows := range []int{1, 63, 64, 65, 255, 256, 257, 4095, 4096, 20000} {
+	for _, rows := range []int{1, 63, 64, 65, 255, 256, 257, 4095, 4096, 20000, 40000} {
 		in, err := PackedData(names, "col", rows, 42)
 		if err != nil {
 			t.Fatal(err)
@@ -55,12 +55,13 @@ func TestScanCountMatchesHost(t *testing.T) {
 }
 
 // TestScanBitmapMatchesBatchWords pins the streamed match bitmap against
-// the non-streaming path on the same plan.
+// the non-streaming path on the same plan, over enough rows to span
+// several auto-width chunks.
 func TestScanBitmapMatchesBatchWords(t *testing.T) {
 	cfg := DefaultScanConfig()
 	c := compileScan(t, cfg)
 	names := c.InputNames()
-	rows := 5000
+	rows := 40000
 	in, err := PackedData(names, "col", rows, 9)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +71,7 @@ func TestScanBitmapMatchesBatchWords(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sink sherlock.BitmapSink
-	if err := c.RunStream(in, rows, &sink, sherlock.StreamOptions{ChunkLanes: 512}); err != nil {
+	if err := c.RunStream(in, rows, &sink, sherlock.StreamOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {

@@ -405,53 +405,53 @@ func (c *Compiled) RunWithFaults(inputs map[string]bool, seed int64) (map[string
 	return c.run(inputs, true, seed)
 }
 
-// RunBatch executes the program once per input assignment, word-parallel:
-// the program is pre-decoded into a micro-op stream once per Compiled
-// (sim.Predecode), and up to 256 input vectors (execBlockWords*64) pack
-// into the bit-lanes of one executor pass. Lane blocks fan out over up to
-// parallelism workers (0 selects runtime.GOMAXPROCS(0)) with per-worker
-// pooled machine state. Outputs come back in input order, bit-for-bit
-// identical to calling Run sequentially.
+// RunBatch executes the program once per input assignment: the maps pack
+// into a RunBatchWords input block (one vector per bit lane), run through
+// RunBatchWords with up to parallelism workers (0 selects
+// runtime.GOMAXPROCS(0)), and unpack into one output map per vector.
+// Outputs come back in input order, bit-for-bit identical to calling Run
+// sequentially. An empty batch returns an empty result.
 //
 // Ownership: the returned maps are freshly allocated on every call and
 // never retained or pooled by the library — the caller may keep, mutate,
 // or discard them freely without affecting any later batch.
 func (c *Compiled) RunBatch(batch []map[string]bool, parallelism int) ([]map[string]bool, error) {
 	outs := make([]map[string]bool, len(batch))
-	if err := c.RunBatchInto(batch, outs, parallelism); err != nil {
+	if len(batch) == 0 {
+		return outs, nil
+	}
+	outNames, _, err := c.outputs()
+	if err != nil {
 		return nil, err
 	}
-	return outs, nil
-}
-
-// RunBatchInto is RunBatch writing into caller-owned output maps: outs must
-// have len(batch) entries; nil entries are allocated, non-nil maps are
-// cleared and refilled. Long-running callers (the serving layer, load
-// generators) reuse the same outs across calls, eliminating the per-lane
-// map allocation that dominates RunBatch's churn.
-//
-// Ownership: outs and its maps belong to the caller. The library writes
-// them only during the call — each non-nil map is cleared (stale keys
-// from any caller mutation included) and refilled with exactly the
-// program's outputs; no reference is held afterwards. Mutating the maps
-// between calls therefore cannot corrupt a later batch. The one sharp
-// edge: aliasing the same map into several outs slots leaves it holding
-// only the last-filled lane's outputs.
-func (c *Compiled) RunBatchInto(batch []map[string]bool, outs []map[string]bool, parallelism int) error {
-	if len(outs) != len(batch) {
-		return fmt.Errorf("sherlock: RunBatchInto: %d output slots for %d inputs", len(outs), len(batch))
+	names := c.inputNames()
+	W := laneWords(len(batch))
+	// One block holds the packed inputs, then room for the outputs.
+	block := make([]uint64, (len(names)+len(outNames))*W)
+	in := block[:len(names)*W]
+	for l, inp := range batch {
+		for slot, name := range names {
+			v, ok := inp[name]
+			if !ok {
+				return nil, fmt.Errorf("sherlock: batch input %d: unbound input %q", l, name)
+			}
+			if v {
+				in[slot*W+l/sim.WordLanes] |= uint64(1) << uint(l%sim.WordLanes)
+			}
+		}
 	}
-	ex, err := c.exec()
+	out, err := c.RunBatchWords(in, len(batch), block[len(in):], parallelism)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	blockLanes := execBlockWords * sim.WordLanes
-	groups := (len(batch) + blockLanes - 1) / blockLanes
-	return pool.Run(parallelism, groups, func(g int) error {
-		start := g * blockLanes
-		end := min(start+blockLanes, len(batch))
-		return c.runExecGroup(ex, batch, outs, start, end)
-	})
+	for l := range outs {
+		m := make(map[string]bool, len(outNames))
+		for o, name := range outNames {
+			m[name] = out[o*W+l/sim.WordLanes]>>uint(l%sim.WordLanes)&1 == 1
+		}
+		outs[l] = m
+	}
+	return outs, nil
 }
 
 // RunBatchWords is the packed-bits fast path: lanes input vectors arrive
@@ -463,7 +463,9 @@ func (c *Compiled) RunBatchInto(batch []map[string]bool, outs []map[string]bool,
 // same stride: out[o*W + w] carries output o (OutputNames() order) of
 // vectors 64w..64w+63, dead lanes masked to zero. A non-nil out with
 // sufficient capacity is reused, making steady-state calls allocation-free.
-// Lane blocks fan out over up to parallelism workers, as in RunBatch.
+// Lane blocks of up to 256 vectors (execBlockWords*64) fan out over up to
+// parallelism workers (0 selects runtime.GOMAXPROCS(0)) with pooled
+// per-worker machine state.
 func (c *Compiled) RunBatchWords(in []uint64, lanes int, out []uint64, parallelism int) ([]uint64, error) {
 	if lanes <= 0 {
 		return nil, fmt.Errorf("sherlock: RunBatchWords needs at least one lane, got %d", lanes)
@@ -572,61 +574,6 @@ func (c *Compiled) outputs() ([]string, []Place, error) {
 		}
 	})
 	return c.outNames, c.outPlaces, c.outErr
-}
-
-// runExecGroup simulates batch[start:end) as the lanes of one lane-block
-// executor pass and unpacks the readouts into outs, reusing any non-nil
-// output maps in place.
-func (c *Compiled) runExecGroup(ex *sim.Exec, batch, outs []map[string]bool, start, end int) error {
-	lanes := end - start
-	names := c.inputNames()
-	outNames, outPlaces, err := c.outputs()
-	if err != nil {
-		return err
-	}
-	m := c.getMachine(ex)
-	defer c.machines.Put(m)
-	m.Reset(lanes)
-	in := m.InputBlock()
-	B := m.BlockWords()
-	for l := 0; l < lanes; l++ {
-		inp := batch[start+l]
-		for slot, name := range names {
-			v, ok := inp[name]
-			if !ok {
-				return fmt.Errorf("sherlock: batch input %d: unbound input %q", start+l, name)
-			}
-			if v {
-				in[slot*B+l/sim.WordLanes] |= uint64(1) << uint(l%sim.WordLanes)
-			}
-		}
-	}
-	if err := m.Run(in); err != nil {
-		return fmt.Errorf("sherlock: batch inputs [%d,%d): %w", start, end, err)
-	}
-	for l := 0; l < lanes; l++ {
-		if om := outs[start+l]; om == nil {
-			outs[start+l] = make(map[string]bool, len(outNames))
-		} else {
-			clear(om)
-		}
-	}
-	activeWords := laneWords(lanes)
-	for oi, p := range outPlaces {
-		name := outNames[oi]
-		for b := 0; b < activeWords; b++ {
-			w, err := m.ReadOutWord(p, b)
-			if err != nil {
-				return err
-			}
-			lo := b * sim.WordLanes
-			hi := min(lanes, lo+sim.WordLanes)
-			for l := lo; l < hi; l++ {
-				outs[start+l][name] = w>>uint(l-lo)&1 == 1
-			}
-		}
-	}
-	return nil
 }
 
 // runWordsGroup runs lanes [start,end) of a packed lane block through one

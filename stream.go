@@ -1,10 +1,10 @@
 package sherlock
 
-// Streaming execution: the facade over internal/sim's chunked pipeline.
+// Streaming execution: the facade over internal/sim's chunked stream.
 // RunStream makes arbitrarily large packed inputs a first-class fast path —
-// the input block is split into cache-sized chunks, each chunk flows
-// through a pack → execute → reduce pipeline on pooled wide ExecMachines,
-// and fused word-level reduction sinks (popcount-accumulate, any/all,
+// the input block is split into cache-sized chunks, each shard packs,
+// executes and reduces its chunks inline on one wide ExecMachine, and
+// fused word-level reduction sinks (popcount-accumulate, any/all,
 // select-mask gather, bit-plane sums) answer aggregate queries without
 // ever materializing full output bitmaps.
 
@@ -18,16 +18,11 @@ import (
 
 // StreamOptions configures RunStream / NewStreamer.
 type StreamOptions struct {
-	// Parallelism is the shard count — concurrent chunk pipelines, each
-	// with its own machines (0 = runtime.GOMAXPROCS(0)).
-	Parallelism int
-	// ChunkLanes overrides the chunk width; it must be a multiple of 64.
-	// 0 auto-sizes so one chunk's machine state stays cache-resident
+	// Parallelism is the shard count — chunks executed concurrently, each
+	// shard on its own machine (0 = runtime.GOMAXPROCS(0)). The chunk
+	// width auto-sizes so one chunk's machine state stays cache-resident
 	// (wide chunks for small kernels, batch-width for huge ones).
-	ChunkLanes int
-	// Serial disables the pack/exec/reduce stage overlap within each
-	// shard — the ablation and debugging mode; results are identical.
-	Serial bool
+	Parallelism int
 }
 
 // streamGeom is the run geometry handed to a sink at begin/end.
@@ -62,11 +57,11 @@ type StreamSink interface {
 	end(g streamGeom) error
 }
 
-// Streamer is a reusable streaming pipeline over one compiled program:
-// machines, stage goroutines and scratch persist across Run calls, so the
-// steady state allocates nothing. One Run executes at a time (calls
-// serialize). Close releases the pipeline's goroutines; RunStream is the
-// build-run-close convenience for one-shot calls.
+// Streamer is a reusable streaming executor over one compiled program:
+// machines and scratch persist across Run calls, so the steady state
+// allocates nothing. One Run executes at a time (calls serialize). A
+// Streamer holds no goroutines between runs; Close makes later runs fail.
+// RunStream is the build-run-close convenience for one-shot calls.
 type Streamer struct {
 	c   *Compiled
 	st  *sim.Stream
@@ -86,9 +81,15 @@ type Streamer struct {
 	sink StreamSink
 }
 
-// NewStreamer builds a reusable streaming pipeline. The caller must Close
-// it when done.
+// NewStreamer builds a reusable streaming executor. It starts no
+// goroutine and builds no machine until a chunk runs.
 func (c *Compiled) NewStreamer(opts StreamOptions) (*Streamer, error) {
+	return c.newStreamer(opts, 0)
+}
+
+// newStreamer is NewStreamer with a forced chunk width of blockWords words
+// (0 auto-sizes).
+func (c *Compiled) newStreamer(opts StreamOptions, blockWords int) (*Streamer, error) {
 	ex, err := c.exec()
 	if err != nil {
 		return nil, err
@@ -97,14 +98,7 @@ func (c *Compiled) NewStreamer(opts StreamOptions) (*Streamer, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := sim.StreamConfig{Shards: opts.Parallelism, Serial: opts.Serial}
-	if opts.ChunkLanes != 0 {
-		if opts.ChunkLanes < sim.WordLanes || opts.ChunkLanes%sim.WordLanes != 0 {
-			return nil, fmt.Errorf("sherlock: ChunkLanes %d is not a positive multiple of %d", opts.ChunkLanes, sim.WordLanes)
-		}
-		cfg.BlockWords = opts.ChunkLanes / sim.WordLanes
-	}
-	st, err := sim.NewStream(ex, cfg)
+	st, err := sim.NewStream(ex, sim.StreamConfig{BlockWords: blockWords, Shards: opts.Parallelism})
 	if err != nil {
 		return nil, err
 	}
@@ -126,17 +120,17 @@ func (c *Compiled) NewStreamer(opts StreamOptions) (*Streamer, error) {
 	return s, nil
 }
 
-// ChunkLanes returns the pipeline's chunk width in lanes.
+// ChunkLanes returns the chunk width in lanes.
 func (s *Streamer) ChunkLanes() int { return s.st.ChunkLanes() }
 
-// Shards returns the concurrent chunk-pipeline count.
+// Shards returns the maximum number of chunks executed concurrently.
 func (s *Streamer) Shards() int { return s.st.Shards() }
 
-// Close releases the pipeline goroutines. Idempotent.
+// Close makes later Runs fail. Idempotent.
 func (s *Streamer) Close() { s.st.Close() }
 
 // Run streams lanes packed input vectors (RunBatchWords slot-major layout,
-// stride ceil(lanes/64)) through the pipeline into sink. A warmed
+// stride ceil(lanes/64)) through the stream into sink. A warmed
 // Streamer+sink pair runs with zero allocations.
 func (s *Streamer) Run(in []uint64, lanes int, sink StreamSink) error {
 	if lanes <= 0 {
@@ -196,12 +190,12 @@ func (s *Streamer) reduceChunk(shard int, m *sim.ExecMachine, chunk, start, lane
 	return s.sink.consume(shard, chunk, start, lanes, buf[:len(s.outPlaces)*cw], cw)
 }
 
-// RunStream streams lanes packed input vectors through a chunked
-// pack→execute→reduce pipeline into sink — the large-batch fast path. It
-// builds a one-shot pipeline; callers running many streams over the same
+// RunStream streams lanes packed input vectors through the chunked
+// pack→execute→reduce loop into sink — the large-batch fast path. It
+// builds a one-shot Streamer; callers running many streams over the same
 // program should hold a NewStreamer instead (zero steady-state
 // allocations). Outputs are bit-identical to RunBatchWords whatever the
-// chunking, sharding or overlap mode.
+// chunking or sharding.
 func (c *Compiled) RunStream(in []uint64, lanes int, sink StreamSink, opts StreamOptions) error {
 	s, err := c.NewStreamer(opts)
 	if err != nil {
