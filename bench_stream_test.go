@@ -1,8 +1,8 @@
 // Streaming benchmarks: the million-row analytics throughput comparison
 // (streamed fused-COUNT vs one materializing RunBatchWords pass), the
 // steady-state allocation proof, and the chunk-width sweep. They live in
-// the package itself because the sweep forces chunk widths through the
-// unexported newStreamer. BenchmarkRunStream/stream is the BENCH_8
+// the package itself because the sweep forces chunk widths through
+// atChunkWords. BenchmarkRunStream/stream is the BENCH_8
 // headline number.
 package sherlock
 
@@ -67,8 +67,9 @@ func BenchmarkRunStream(b *testing.B) {
 	})
 
 	b.Run("batch", func(b *testing.B) {
-		// The non-streaming path on the same plan: one RunBatchWords pass
-		// materializing the match bitmap, host popcount to finish.
+		// The materializing path on the same plan: RunBatchWords runs the
+		// same stream but copies the match bitmap out, host popcount to
+		// finish — the gap to "stream" is the fused sink.
 		var out []uint64
 		var err error
 		var count int64
@@ -96,7 +97,7 @@ func BenchmarkStreamChunkWidth(b *testing.B) {
 	c, in := compileScanBench(b)
 	for _, words := range []int{4, 32, 256} {
 		b.Run(fmt.Sprintf("words%d", words), func(b *testing.B) {
-			s, err := c.newStreamer(StreamOptions{}, words)
+			s, err := atChunkWords(c, words).NewStreamer(StreamOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -38,7 +38,7 @@ func main() {
 	maxPrograms := flag.Int("max-programs", 1024, "compiled programs kept resident (0 = unbounded)")
 	maxBytes := flag.Int64("max-bytes", 256<<20, "estimated resident program bytes (0 = unbounded)")
 	parallelism := flag.Int("parallelism", 0,
-		"workers per merged batch, and shards of each kernel's direct-run streamer (0 = GOMAXPROCS)")
+		"concurrent chunks per executor pass, merged or direct (0 = GOMAXPROCS)")
 	passes := flag.Int("passes", 0, "concurrent executor passes across all kernels (0 = unlimited)")
 	backend := flag.String("backend", "auto", "execution backend: auto (cost-model routing), cim, or cpu")
 	flag.Parse()

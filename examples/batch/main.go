@@ -1,9 +1,8 @@
-// Batch: compile a kernel once and fan many independent executions out
-// over the worker pool with Compiled.RunBatch — the facade-level face of
-// the parallel campaign engine. Inputs pack 64-per-word onto the SWAR
-// lane simulator (one program pass covers 64 vectors), and lane groups
-// fan out over the workers. Outputs come back in input order, identical
-// to running each input sequentially.
+// Batch: compile a kernel once and run many independent executions with
+// Compiled.RunBatch. Inputs pack 64 per word onto the SWAR lane executor
+// (one program pass covers a whole chunk of lanes), and chunks fan out
+// over up to GOMAXPROCS workers. Outputs come back in input order,
+// identical to running each input on its own.
 //
 // The second half switches to RunBatchWords, the packed-bits fast path:
 // vectors arrive pre-packed one bit per lane (slot order InputNames()),
@@ -39,8 +38,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 200 independent input vectors: four 64-wide lane groups (the last
-	// one partial), up to GOMAXPROCS groups at a time (parallelism 0).
+	// 200 independent input vectors: four lane words (the last one
+	// partial), one program pass.
 	rng := rand.New(rand.NewSource(42))
 	batch := make([]map[string]bool, 200)
 	for i := range batch {

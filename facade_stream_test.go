@@ -1,8 +1,10 @@
 package sherlock
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"sherlock/internal/dfg"
@@ -12,6 +14,22 @@ import (
 // must get right: single lane, word boundaries, machine-block boundaries,
 // and chunk boundaries on either side.
 var streamEdgeLanes = []int{1, 63, 64, 65, 255, 256, 257, 4095, 4096}
+
+// atChunkWords returns a Compiled for the same program whose stream runs
+// blockWords-word chunks (0 auto-sizes), so tests can put chunk edges where
+// they want them. It has its own stream; c is untouched.
+func atChunkWords(c *Compiled, blockWords int) *Compiled {
+	return &Compiled{
+		Graph:      c.Graph,
+		Program:    c.Program,
+		Stats:      c.Stats,
+		Resynth:    c.Resynth,
+		opts:       c.opts,
+		result:     c.result,
+		source:     c.source,
+		chunkWords: blockWords,
+	}
+}
 
 // randPackedBatch builds a slot-major packed input block with
 // deterministic pseudo-random bits (dead lanes of the last word carry
@@ -55,7 +73,7 @@ func TestRunStreamMatchesBatchWords(t *testing.T) {
 		{2, 0}, // auto chunk width
 	}
 	for ci, tc := range cases {
-		s, err := c.newStreamer(StreamOptions{Parallelism: tc.parallelism}, tc.blockWords)
+		s, err := atChunkWords(c, tc.blockWords).NewStreamer(StreamOptions{Parallelism: tc.parallelism})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +159,8 @@ func TestRunStreamMatchesGoldenModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, blockWords := range []int{0, 2} {
-		s, err := c.newStreamer(StreamOptions{Parallelism: 3}, blockWords)
+		c := atChunkWords(c, blockWords)
+		s, err := c.NewStreamer(StreamOptions{Parallelism: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +194,7 @@ func TestRunStreamMatchesScalar(t *testing.T) {
 	outNames := c.OutputNames()
 	lanes := 70 // spans a word boundary
 	in := randPackedBatch(c, lanes, 99)
-	s, err := c.newStreamer(StreamOptions{Parallelism: 2}, 1)
+	s, err := atChunkWords(c, 1).NewStreamer(StreamOptions{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +229,7 @@ func TestStreamSinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	numOut := len(c.OutputNames())
-	s, err := c.newStreamer(StreamOptions{Parallelism: 3}, 2)
+	s, err := atChunkWords(c, 2).NewStreamer(StreamOptions{Parallelism: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +329,7 @@ func TestStreamAllSinkLiveLanes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := c.newStreamer(StreamOptions{Parallelism: 2}, 1)
+	s, err := atChunkWords(c, 1).NewStreamer(StreamOptions{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +441,7 @@ func TestStreamerZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := c.newStreamer(StreamOptions{Parallelism: 2}, 4)
+	s, err := atChunkWords(c, 4).NewStreamer(StreamOptions{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,5 +460,71 @@ func TestStreamerZeroAlloc(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("warmed RunStream allocates %.1f objects/run, want 0", allocs)
+	}
+}
+
+// TestPackedRunsConcurrent: RunBatchWords and Streamer.Run calls overlap
+// on one Compiled (one shared stream, one Streamer, a sink per run), at
+// lane counts on both sides of the chunk edges; every result must match
+// the DFG golden model.
+func TestPackedRunsConcurrent(t *testing.T) {
+	base, err := CompileC(demoKernel, Options{Tech: ReRAM, ArraySize: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, blockWords := range []int{0, 2} {
+		c := atChunkWords(base, blockWords)
+		s, err := c.NewStreamer(StreamOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunk := s.ChunkLanes()
+		lanes := []int{1, 255, 256, chunk - 1, chunk, chunk + 1, 2*chunk + 1}
+		ins := make([][]uint64, len(lanes))
+		wants := make([][]uint64, len(lanes))
+		for i, n := range lanes {
+			ins[i] = randPackedBatch(c, n, int64(n)+11)
+			wants[i] = goldenWords(c, ins[i], n)
+		}
+		const G = 6
+		var wg sync.WaitGroup
+		errs := make(chan error, G)
+		for g := 0; g < G; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				var sink BitmapSink
+				var out []uint64
+				for r := 0; r < 3*len(lanes); r++ {
+					i := (g + r) % len(lanes)
+					got, label := out, "RunBatchWords"
+					var err error
+					if g%2 == 0 {
+						got, err = c.RunBatchWords(ins[i], lanes[i], out, g%3)
+						out = got
+					} else {
+						label = "Streamer.Run"
+						err = s.Run(ins[i], lanes[i], &sink)
+						got = sink.Out
+					}
+					if err != nil {
+						errs <- fmt.Errorf("width %d goroutine %d %s lanes %d: %v", blockWords, g, label, lanes[i], err)
+						return
+					}
+					for w := range wants[i] {
+						if got[w] != wants[i][w] {
+							errs <- fmt.Errorf("width %d goroutine %d %s lanes %d: word %d = %#x, golden model %#x",
+								blockWords, g, label, lanes[i], w, got[w], wants[i][w])
+							return
+						}
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
 	}
 }

@@ -1,10 +1,6 @@
 package dfg
 
-import (
-	"fmt"
-
-	"sherlock/internal/bitvec"
-)
+import "fmt"
 
 // Evaluate computes every operand's value given an assignment of all kernel
 // inputs. It is the golden functional semantics against which the mapped
@@ -57,40 +53,30 @@ func EvaluateByName(g *Graph, inputs map[string]bool) (map[string]bool, error) {
 
 // EvaluateWords runs the kernel over 64 independent lanes at once: bit l of
 // every input word is one input assignment, and bit l of each output word is
-// that lane's kernel output — the golden model's SWAR form. Lanes the caller
-// does not use carry garbage in the inverting ops' outputs; mask the result.
+// that lane's kernel output — the golden model's SWAR form. It is the
+// name-keyed wrapper over WordEvaluator. Lanes the caller does not use carry
+// garbage in the inverting ops' outputs; mask the result.
 func EvaluateWords(g *Graph, inputs map[string]uint64) (map[string]uint64, error) {
-	vals := make(map[NodeID]uint64, len(g.nodes))
-	for _, in := range g.inputs {
+	words := make([]uint64, len(g.inputs))
+	for i, in := range g.inputs {
 		v, ok := inputs[g.Name(in)]
 		if !ok {
 			return nil, fmt.Errorf("dfg: missing value for input %q", g.Name(in))
 		}
-		vals[in] = v
+		words[i] = v
 	}
-	words := make([]uint64, 0, 8)
-	for _, op := range g.TopoOps() {
-		words = words[:0]
-		for _, in := range g.opInputs[op] {
-			v, ok := vals[in]
-			if !ok {
-				return nil, fmt.Errorf("dfg: operand %q used before defined", g.Name(in))
-			}
-			words = append(words, v)
-		}
-		vals[g.opOutput[op]] = g.nodes[op].op.EvalWords(words...)
-	}
+	res := NewWordEvaluator(g).Eval(words)
 	out := make(map[string]uint64, len(g.outputs))
-	for _, o := range g.outputs {
-		out[g.OutputName(o)] = vals[o]
+	for j, o := range g.outputs {
+		out[g.OutputName(o)] = res[j]
 	}
 	return out, nil
 }
 
 // WordEvaluator evaluates the kernel's SWAR golden semantics repeatedly
 // without per-call allocation: one value word per node in a flat array and
-// positional inputs/outputs (Graph.Inputs()/Graph.Outputs() order) replace
-// EvaluateWords' name-keyed maps. Monte-Carlo shards evaluate tens of
+// positional inputs/outputs (Graph.Inputs()/Graph.Outputs() order) instead
+// of EvaluateWords' name-keyed maps. Monte-Carlo shards evaluate tens of
 // thousands of 64-lane groups against one graph; the map churn dominated
 // that loop. Not safe for concurrent use — create one per goroutine.
 type WordEvaluator struct {
@@ -137,42 +123,6 @@ func (ev *WordEvaluator) Eval(inputs []uint64) []uint64 {
 		ev.out[j] = ev.vals[o]
 	}
 	return ev.out
-}
-
-// EvaluateVectors runs the kernel over whole bit-vectors at once (the bulk
-// dimension): input vectors must share one length, and each output vector's
-// bit i is the kernel applied to bit i of every input. Internally it packs
-// 64 lanes per word and evaluates one EvaluateWords pass per word.
-func EvaluateVectors(g *Graph, inputs map[string]*bitvec.Vector) (map[string]*bitvec.Vector, error) {
-	n := -1
-	for name, v := range inputs {
-		if n == -1 {
-			n = v.Len()
-		} else if v.Len() != n {
-			return nil, fmt.Errorf("dfg: input %q length %d != %d", name, v.Len(), n)
-		}
-	}
-	if n == -1 {
-		n = 0
-	}
-	outs := make(map[string]*bitvec.Vector, len(g.outputs))
-	for _, o := range g.outputs {
-		outs[g.OutputName(o)] = bitvec.New(n)
-	}
-	wordIn := make(map[string]uint64, len(inputs))
-	for wi := 0; wi*64 < n; wi++ {
-		for name, v := range inputs {
-			wordIn[name] = v.Word(wi)
-		}
-		res, err := EvaluateWords(g, wordIn)
-		if err != nil {
-			return nil, err
-		}
-		for name, w := range res {
-			outs[name].SetWord(wi, w) // SetWord drops bits past the length
-		}
-	}
-	return outs, nil
 }
 
 // EquivalentOn checks that two graphs with identical input/output signatures

@@ -3,55 +3,8 @@ package dfg
 import (
 	"testing"
 
-	"sherlock/internal/bitvec"
 	"sherlock/internal/logic"
 )
-
-func TestEvaluateVectors(t *testing.T) {
-	// out = (a & b) ^ c over 70-bit vectors (crosses the word boundary).
-	b := NewBuilder()
-	a, c, d := b.Input("a"), b.Input("b"), b.Input("c")
-	b.Output("out", b.Xor(b.And(a, c), d))
-	g := b.Graph()
-
-	n := 70
-	va, vb, vc := bitvec.New(n), bitvec.New(n), bitvec.New(n)
-	for i := 0; i < n; i++ {
-		va.Set(i, i%2 == 0)
-		vb.Set(i, i%3 == 0)
-		vc.Set(i, i%5 == 0)
-	}
-	outs, err := EvaluateVectors(g, map[string]*bitvec.Vector{"a": va, "b": vb, "c": vc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := bitvec.Xor(bitvec.And(va, vb), vc)
-	if !outs["out"].Equal(want) {
-		t.Fatal("vector evaluation diverges from bitvec reference")
-	}
-}
-
-func TestEvaluateVectorsLengthMismatch(t *testing.T) {
-	b := NewBuilder()
-	x, y := b.Input("x"), b.Input("y")
-	b.Output("o", b.And(x, y))
-	_, err := EvaluateVectors(b.Graph(), map[string]*bitvec.Vector{
-		"x": bitvec.New(4), "y": bitvec.New(5),
-	})
-	if err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-}
-
-func TestEvaluateVectorsMissingInput(t *testing.T) {
-	b := NewBuilder()
-	x, y := b.Input("x"), b.Input("y")
-	b.Output("o", b.Or(x, y))
-	_, err := EvaluateVectors(b.Graph(), map[string]*bitvec.Vector{"x": bitvec.New(3)})
-	if err == nil {
-		t.Fatal("missing input accepted")
-	}
-}
 
 func TestEquivalentOnDetectsDifference(t *testing.T) {
 	mk := func(op logic.Op) *Graph {
@@ -149,8 +102,8 @@ func TestEvaluateWordsMissingInput(t *testing.T) {
 }
 
 // TestWordEvaluatorMatchesEvaluateWords pins the allocation-free positional
-// evaluator to the map-keyed reference: same graph, same lanes, identical
-// output words across repeated reuses of one evaluator.
+// evaluator, lane by lane, to the scalar EvaluateByName reference: same
+// graph, every lane of every trial, across repeated reuses of one evaluator.
 func TestWordEvaluatorMatchesEvaluateWords(t *testing.T) {
 	b := NewBuilder()
 	x, y, z := b.Input("x"), b.Input("y"), b.Input("z")
@@ -162,25 +115,28 @@ func TestWordEvaluatorMatchesEvaluateWords(t *testing.T) {
 	inputs := g.Inputs()
 	outputs := g.Outputs()
 	in := make([]uint64, len(inputs))
-	words := make(map[string]uint64, len(inputs))
+	lane := make(map[string]bool, len(inputs))
 	for trial := 0; trial < 20; trial++ {
-		for i, id := range inputs {
-			w := uint64(trial*1103515245+12345) * (uint64(i)*2654435761 + 1)
-			in[i] = w
-			words[g.Name(id)] = w
-		}
-		want, err := EvaluateWords(g, words)
-		if err != nil {
-			t.Fatal(err)
+		for i := range inputs {
+			in[i] = uint64(trial*1103515245+12345) * (uint64(i)*2654435761 + 1)
 		}
 		got := ev.Eval(in)
 		if len(got) != len(outputs) {
 			t.Fatalf("trial %d: %d output words for %d outputs", trial, len(got), len(outputs))
 		}
-		for j, o := range outputs {
-			if w := want[g.OutputName(o)]; got[j] != w {
-				t.Fatalf("trial %d output %q: positional %#x, map-keyed %#x",
-					trial, g.OutputName(o), got[j], w)
+		for l := 0; l < 64; l++ {
+			for i, id := range inputs {
+				lane[g.Name(id)] = in[i]>>uint(l)&1 == 1
+			}
+			want, err := EvaluateByName(g, lane)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, o := range outputs {
+				if w := want[g.OutputName(o)]; got[j]>>uint(l)&1 == 1 != w {
+					t.Fatalf("trial %d lane %d output %q: positional %v, scalar %v",
+						trial, l, g.OutputName(o), !w, w)
+				}
 			}
 		}
 	}

@@ -437,7 +437,6 @@ func (c *clusterer) unionAbove(ca, cb *cluster) bool {
 // balance load (case 5). With PaperEq1 the literally printed formula
 // (β·|C| + α·Σρ) is used instead.
 func (c *clusterer) score(op dfg.NodeID, pc *cluster, preds []dfg.NodeID) float64 {
-	alpha, beta := c.opt.Alpha, c.opt.Beta
 	if c.opt.PaperEq1 {
 		sum := 0.0
 		for _, q := range preds {

@@ -22,11 +22,6 @@ import (
 type Options struct {
 	Target layout.Target
 
-	// Alpha and Beta weight the cluster-assignment score (Eq. 1): Alpha
-	// scales the dependency/priority affinity, Beta the load-balancing
-	// penalty on cluster size. Zero values select the defaults.
-	Alpha, Beta float64
-
 	// PaperEq1 applies the score exactly as printed in the paper
 	// (β·|C| + α·Σρ). The printed form contradicts the surrounding prose
 	// (see DESIGN.md); it is kept as an ablation knob.
@@ -44,13 +39,6 @@ type Options struct {
 	// cells (endurance; only meaningful with RecycleRows).
 	WearLeveling bool
 
-	// IssueWindow bounds how many ready ops the mappers pull from the
-	// event-driven ready queue per wave (see dfg.ReadyWalker): an op's
-	// consumers become eligible no earlier than the wave after its own,
-	// so dependence order holds for any window. Zero selects the default
-	// of 64; 1 degenerates to pure priority order.
-	IssueWindow int
-
 	// LegacyLevelScheduler selects the pre-PR-6 scheduling pipeline: ops
 	// consumed in the fully pre-sorted priority order (b-level desc, ID
 	// asc) and instructions merged under strict ASAP level barriers. Kept
@@ -59,18 +47,20 @@ type Options struct {
 	LegacyLevelScheduler bool
 }
 
-func (o Options) withDefaults() Options {
-	if o.Alpha == 0 {
-		o.Alpha = 1
-	}
-	if o.Beta == 0 {
-		o.Beta = 0.25
-	}
-	if o.IssueWindow == 0 {
-		o.IssueWindow = 64
-	}
-	return o
-}
+// Eq. 1 weights of the cluster-assignment score: alpha scales the
+// dependency/priority affinity, beta the load-balancing penalty on cluster
+// size.
+const (
+	alpha = 1.0
+	beta  = 0.25
+)
+
+// issueWindow bounds how many ready ops the mappers pull from the
+// event-driven ready queue per wave (see dfg.ReadyWalker): an op's
+// consumers become eligible no earlier than the wave after its own, so
+// dependence order holds for any window; 1 would degenerate to pure
+// priority order.
+const issueWindow = 64
 
 // forEachOp drives a mapper loop over the graph's ops in scheduling order:
 // event-driven ready dispatch in bounded issue windows by default, or the
@@ -87,7 +77,7 @@ func forEachOp(g *dfg.Graph, opt Options, fn func(op dfg.NodeID) error) error {
 	w := g.NewReadyWalker()
 	defer w.Close()
 	for {
-		batch := w.Next(opt.IssueWindow)
+		batch := w.Next(issueWindow)
 		if batch == nil {
 			return nil
 		}

@@ -14,7 +14,6 @@ import (
 // merging is performed, so operands shared across columns cause copies
 // (data duplication) exactly as the paper describes.
 func Naive(g *dfg.Graph, opt Options) (*Result, error) {
-	opt = opt.withDefaults()
 	if err := validateInput(g, opt.Target); err != nil {
 		return nil, err
 	}

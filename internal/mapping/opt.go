@@ -13,7 +13,6 @@ import (
 // column, and the generated instructions are merged across clusters
 // (Sec. 3.3.3) after a dependence-preserving level schedule.
 func Optimized(g *dfg.Graph, opt Options) (*Result, error) {
-	opt = opt.withDefaults()
 	if err := validateInput(g, opt.Target); err != nil {
 		return nil, err
 	}
@@ -101,7 +100,6 @@ func Optimized(g *dfg.Graph, opt Options) (*Result, error) {
 // Clusters exposes the clustering stage on its own (for inspection, tests
 // and the dfg2dot tool).
 func Clusters(g *dfg.Graph, opt Options) ([][]dfg.NodeID, error) {
-	opt = opt.withDefaults()
 	if err := validateInput(g, opt.Target); err != nil {
 		return nil, err
 	}

@@ -258,11 +258,10 @@ func BenchmarkCoalescerSubmit(b *testing.B) {
 }
 
 // BenchmarkCoalescerDirect measures direct (unmerged) requests from 8
-// concurrent callers at the two size classes on either side of the
-// coalescer's Streamer split: stage-4096 fits one streaming chunk of the
-// stage kernel and runs as a RunBatchWords pass per request; aes-1024
-// spans four 256-lane chunks of the quick AES kernel and runs on the
-// Streamer, which spreads each request over every shard.
+// concurrent callers at two size classes, each request one RunBatchWords
+// call on the program's shared stream: stage-4096 fits one chunk of the
+// stage kernel; aes-1024 spans four 256-lane chunks of the quick AES
+// kernel, which spread over the stream's shards.
 func BenchmarkCoalescerDirect(b *testing.B) {
 	const callers = 8
 	run := func(b *testing.B, e *Entry, lanes int) {
@@ -288,7 +287,7 @@ func BenchmarkCoalescerDirect(b *testing.B) {
 			}
 			wg.Wait()
 		}
-		wave() // build the Streamer, machines and output buffers
+		wave() // build the stream, machines and output buffers
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

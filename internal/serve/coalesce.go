@@ -17,12 +17,10 @@ import (
 // (size trigger) or when the window timer expires after the first pending
 // request (time trigger), whichever comes first. Requests at or above the
 // batch threshold bypass the queue entirely — they already fill their own
-// passes. A direct request wider than one streaming chunk runs on the
-// coalescer's Streamer, which spreads its chunks over every shard; a
-// narrower one is a single-core job and runs as one RunBatchWords pass, so
-// concurrent requests of that size still execute in parallel. Merged
-// batches always take RunBatchWords: sending them through the one
-// Streamer would serialize them.
+// passes. Merged batches and direct requests alike run as one
+// RunBatchWords call on the program's shared stream, which runs
+// concurrent calls in parallel and spreads a wide request's chunks over
+// its shards.
 //
 // Merging is bit-exact: each caller's lanes pack contiguously (bit-shifted,
 // not word-aligned) into the merged block and demux back out, so outputs
@@ -38,12 +36,6 @@ type Coalescer struct {
 	parallelism int
 	limiter     *pool.Limiter
 	hub         *coalesceHub // service-wide totals; nil for a standalone coalescer
-
-	// The direct-request Streamer, built on the first direct request. It
-	// holds no goroutines, and no machines until a chunk runs.
-	streamOnce sync.Once
-	streamer   *sherlock.Streamer
-	streamErr  error
 
 	mu           sync.Mutex
 	pending      []*pendingReq
@@ -63,8 +55,12 @@ type CoalescerStats struct {
 	SizeFlushes  int64 // flushed by the lane threshold
 	TimerFlushes int64 // flushed by the window timer
 	DirectRuns   int64 // oversized requests that bypassed the queue
-	StreamRuns   int64 // direct requests served by the Streamer
-	MaxBatch     int64 // largest merged batch, in lanes
+	// StreamRuns counts direct requests served by streaming.
+	//
+	// Deprecated: every direct request streams now, so StreamRuns always
+	// equals DirectRuns.
+	StreamRuns int64
+	MaxBatch   int64 // largest merged batch, in lanes
 }
 
 // add folds d into s: counters sum, MaxBatch takes the maximum.
@@ -112,7 +108,7 @@ type CoalescerConfig struct {
 	// disables the timer — batches then flush only on size or Flush(),
 	// which is what the deterministic tests use.
 	Window time.Duration
-	// Parallelism is handed to RunBatchWords for multi-group batches.
+	// Parallelism caps each RunBatchWords call's concurrent chunks.
 	Parallelism int
 	// Limiter, when non-nil, bounds concurrent executor passes across all
 	// coalescers sharing it.
@@ -124,9 +120,8 @@ type CoalescerConfig struct {
 // DefaultStreamMinLanes was the bulk-request size at which direct requests
 // switched to the streaming path: 16 full 256-lane executor passes.
 //
-// Deprecated: the coalescer now streams every direct request wider than
-// one streaming chunk and reads no threshold. The constant remains as a
-// conventional bulk-request size.
+// Deprecated: the coalescer streams every direct request and reads no
+// threshold. The constant remains as a conventional bulk-request size.
 const DefaultStreamMinLanes = 4096
 
 // NewCoalescer builds a coalescer over a compiled program.
@@ -201,9 +196,11 @@ func (q *Coalescer) Submit(in []uint64, lanes int, out []uint64) ([]uint64, erro
 	if lanes >= q.maxLanes {
 		// Already fills its own pass(es): run directly, no window latency.
 		q.mu.Lock()
-		q.addLocked(CoalescerStats{Requests: 1, Lanes: int64(lanes), DirectRuns: 1})
+		q.addLocked(CoalescerStats{Requests: 1, Lanes: int64(lanes), DirectRuns: 1, StreamRuns: 1})
 		q.mu.Unlock()
-		return q.runDirect(in, lanes, out)
+		q.limiter.Acquire()
+		defer q.limiter.Release()
+		return q.c.RunBatchWords(in, lanes, out, q.parallelism)
 	}
 
 	req := &pendingReq{in: in, lanes: lanes, out: out, done: make(chan error, 1)}
@@ -338,34 +335,6 @@ func (q *Coalescer) flushBatch(batch []*pendingReq, total int) {
 		req.done <- nil
 	}
 	q.scratch.Put(s)
-}
-
-// runDirect executes an oversized request without merging. A request
-// wider than one streaming chunk runs on the Streamer with a bitmap sink
-// writing straight into the caller's buffer; anything narrower is one
-// chunk's work and runs as a RunBatchWords pass, concurrently with other
-// such requests. Both are bit-identical, pinned by the serve differential
-// tests.
-func (q *Coalescer) runDirect(in []uint64, lanes int, out []uint64) ([]uint64, error) {
-	q.streamOnce.Do(func() {
-		q.streamer, q.streamErr = q.c.NewStreamer(sherlock.StreamOptions{Parallelism: q.parallelism})
-	})
-	if q.streamErr != nil {
-		return nil, q.streamErr
-	}
-	q.limiter.Acquire()
-	defer q.limiter.Release()
-	if lanes <= q.streamer.ChunkLanes() {
-		return q.c.RunBatchWords(in, lanes, out, q.parallelism)
-	}
-	sink := sherlock.BitmapSink{Out: out}
-	if err := q.streamer.Run(in, lanes, &sink); err != nil {
-		return nil, err
-	}
-	q.mu.Lock()
-	q.addLocked(CoalescerStats{StreamRuns: 1})
-	q.mu.Unlock()
-	return sink.Out, nil
 }
 
 // laneWords is W, the word stride of a packed block of `lanes` lanes.

@@ -23,6 +23,10 @@ import (
 // the content address) or an inline source+options, which compiles through
 // the registry first — identical sources dedupe to the same program.
 
+// maxBodyBytes bounds a /v1/compile or /v1/run request body; a larger body
+// fails with 413 before it is decoded further.
+const maxBodyBytes = 8 << 20
+
 // wireOptions is the JSON form of sherlock.Options.
 type wireOptions struct {
 	Tech               string  `json:"tech,omitempty"`
@@ -105,8 +109,7 @@ func NewHandler(s *Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/compile", func(w http.ResponseWriter, r *http.Request) {
 		var req compileRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		if req.Source == "" {
@@ -135,8 +138,7 @@ func NewHandler(s *Service) http.Handler {
 
 	mux.HandleFunc("POST /v1/run", func(w http.ResponseWriter, r *http.Request) {
 		var req runRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		force, err := ParseBackend(req.Backend)
@@ -197,6 +199,23 @@ func NewHandler(s *Service) http.Handler {
 		fmt.Fprintln(w, "ok")
 	})
 	return mux
+}
+
+// decodeBody decodes r's JSON body, at most maxBodyBytes of it, into v. On
+// failure it writes the error response (413 for an oversized body, 400
+// otherwise) and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, fmt.Errorf("decoding request: %w", err))
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

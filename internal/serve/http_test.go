@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
@@ -157,5 +158,30 @@ func TestHTTPErrors(t *testing.T) {
 	r.Body.Close()
 	if r.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: %d", r.StatusCode)
+	}
+}
+
+// TestHTTPBodyTooLarge pins the request-body bound: a body past
+// maxBodyBytes fails with 413 on both decoding endpoints.
+func TestHTTPBodyTooLarge(t *testing.T) {
+	svc := NewService(Config{Window: -1, MaxBatchLanes: 1})
+	srv := httptest.NewServer(NewHandler(svc))
+	defer srv.Close()
+
+	body := `{"source":"` + strings.Repeat("x", maxBodyBytes) + `"}`
+	for _, path := range []string{"/v1/compile", "/v1/run"} {
+		r, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resp errorResponse
+		err = json.NewDecoder(r.Body).Decode(&resp)
+		r.Body.Close()
+		if r.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: oversized body returned %d, want 413", path, r.StatusCode)
+		}
+		if err != nil || resp.Error == "" {
+			t.Fatalf("%s: 413 without an error body (%v)", path, err)
+		}
 	}
 }

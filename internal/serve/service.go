@@ -22,8 +22,8 @@ type Config struct {
 	Window time.Duration
 	// MaxBatchLanes is the size flush trigger (default 256 = one pass).
 	MaxBatchLanes int
-	// Parallelism bounds each merged batch's worker fan-out (RunBatchWords)
-	// and sets the shard count of each kernel's direct-request Streamer.
+	// Parallelism caps the concurrent chunks of each executor pass
+	// (RunBatchWords' parallelism), merged or direct.
 	Parallelism int
 	// MaxConcurrentPasses bounds executor passes in flight across all
 	// kernels (0 = unlimited).

@@ -8,8 +8,8 @@ import (
 	"sherlock"
 )
 
-// directChunkLanes is the chunk width of the kernel's direct-request
-// Streamer: the lane count above which a direct request streams.
+// directChunkLanes is the chunk width of the kernel's stream: the lane
+// count above which a direct request spans several chunks.
 func directChunkLanes(t *testing.T, e *Entry) int {
 	t.Helper()
 	s, err := e.Compiled.NewStreamer(sherlock.StreamOptions{})
@@ -19,16 +19,16 @@ func directChunkLanes(t *testing.T, e *Entry) int {
 	return s.ChunkLanes()
 }
 
-// TestCoalesceStreamBulk pins the direct path's size split: a direct
-// request wider than one streaming chunk is served by the Streamer and
-// counted in StreamRuns; one that fits a chunk runs as a RunBatchWords
-// pass. Both are bit-identical to RunBatchWords at the chunk edges.
+// TestCoalesceStreamBulk pins the direct path: every direct request, one
+// chunk or many, streams as one RunBatchWords call (StreamRuns counts it
+// with DirectRuns) and is bit-identical to RunBatchWords at the chunk
+// edges.
 func TestCoalesceStreamBulk(t *testing.T) {
 	e := mustCompile(t, kStage)
 	chunk := directChunkLanes(t, e)
 	q := NewCoalescer(e.Compiled, CoalescerConfig{MaxBatchLanes: 64, Window: -1})
 	rng := rand.New(rand.NewSource(11))
-	var direct, streamed int64
+	var direct int64
 	for _, lanes := range []int{100, 4096, chunk - 1, chunk, chunk + 1, 2*chunk + 1} {
 		batch := randBatch(rng, e.InputNames, lanes)
 		in, _ := packWords(e.InputNames, batch)
@@ -42,12 +42,9 @@ func TestCoalesceStreamBulk(t *testing.T) {
 		}
 		checkWordsEqual(t, "direct run", got, want)
 		direct++
-		if lanes > chunk {
-			streamed++
-		}
 		st := q.Stats()
-		if st.StreamRuns != streamed {
-			t.Fatalf("lanes %d (chunk %d): StreamRuns = %d, want %d", lanes, chunk, st.StreamRuns, streamed)
+		if st.StreamRuns != direct {
+			t.Fatalf("lanes %d (chunk %d): StreamRuns = %d, want %d", lanes, chunk, st.StreamRuns, direct)
 		}
 		if st.DirectRuns != direct {
 			t.Fatalf("lanes %d: DirectRuns = %d, want %d", lanes, st.DirectRuns, direct)
@@ -56,8 +53,8 @@ func TestCoalesceStreamBulk(t *testing.T) {
 }
 
 // TestCoalesceStreamMatchesGoldenModel drives every test kernel's direct
-// path (both sides of the size split) at the fixed edge lane counts and
-// the chunk edges, against the DFG golden model.
+// path at the fixed edge lane counts and the chunk edges, against the DFG
+// golden model.
 func TestCoalesceStreamMatchesGoldenModel(t *testing.T) {
 	for ki, src := range testKernels() {
 		e := mustCompile(t, src)
@@ -82,22 +79,16 @@ func TestCoalesceStreamMatchesGoldenModel(t *testing.T) {
 			}
 			checkWordsEqual(t, "direct run vs golden model", got, want)
 		}
-		var streamed int64
-		for _, n := range lanes {
-			if n > chunk {
-				streamed++
-			}
-		}
-		if st := q.Stats(); st.StreamRuns != streamed || st.DirectRuns != int64(len(lanes)) {
-			t.Fatalf("kernel %d (chunk %d): StreamRuns = %d, DirectRuns = %d; want %d and %d",
-				ki, chunk, st.StreamRuns, st.DirectRuns, streamed, len(lanes))
+		if st := q.Stats(); st.StreamRuns != int64(len(lanes)) || st.DirectRuns != int64(len(lanes)) {
+			t.Fatalf("kernel %d (chunk %d): StreamRuns = %d, DirectRuns = %d; want %d each",
+				ki, chunk, st.StreamRuns, st.DirectRuns, len(lanes))
 		}
 	}
 }
 
 // TestServiceStreamConfig: the service's configuration reaches each
-// kernel's direct-request Streamer, the service sums StreamRuns, and
-// Close leaves the service usable.
+// kernel's coalescer, the service sums StreamRuns, and Close leaves the
+// service usable.
 func TestServiceStreamConfig(t *testing.T) {
 	s := NewService(Config{Window: -1, Parallelism: 2, Backend: BackendCIM})
 	e, err := s.CompileC(kMux, testOptions())
@@ -121,8 +112,8 @@ func TestServiceStreamConfig(t *testing.T) {
 		if st := s.Stats(); st.Coalesce.StreamRuns != round {
 			t.Fatalf("round %d: service StreamRuns = %d, want %d", round, st.Coalesce.StreamRuns, round)
 		}
-		if sh := e.coal.streamer.Shards(); sh != 2 {
-			t.Fatalf("direct Streamer has %d shards, want Config.Parallelism = 2", sh)
+		if p := e.coal.parallelism; p != 2 {
+			t.Fatalf("coalescer runs with parallelism %d, want Config.Parallelism = 2", p)
 		}
 		s.Close()
 	}

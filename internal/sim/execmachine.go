@@ -20,11 +20,13 @@ const DefaultBlockWords = 4
 
 // ExecMachine executes one pre-decoded program over a lane BLOCK of up to
 // BlockWords()*64 independent input vectors per pass. State is flat and
-// cell-major: cell (or row-buffer bit) offset k occupies words
-// [k*B, k*B+B), word b carrying lanes 64b..64b+63. Loops touch only the
-// activeWords = ceil(lanes/64) leading words of each block, so a wide
-// machine running few lanes pays for few. Dead lanes (and inactive words)
-// carry garbage; readout masks them.
+// cell-major at the pass's width: with A = activeWords = ceil(lanes/64),
+// cell (or row-buffer bit) offset k occupies words [k*A, k*A+A), word b
+// carrying lanes 64b..64b+63. A wide machine running few lanes therefore
+// touches exactly the memory a narrow machine would, and no more cache
+// lines or pages. The layout changes with the lane count, which is safe
+// for the same reason Reset is cheap (below). Dead lanes carry garbage;
+// readout masks them.
 //
 // There are no defined masks: definedness was discharged at decode time,
 // which is what makes Reset O(1) in the cell count — stale cell payloads
@@ -32,16 +34,20 @@ const DefaultBlockWords = 4
 // same-run write (Predecode proved it).
 type ExecMachine struct {
 	e     *Exec
-	block int // B: words per cell
+	block int // B: the widest pass, in words
 
 	lanes       int
 	activeWords int
 	lastMask    uint64 // live-lane mask of the last active word
 
-	cells []uint64 // numCells * B
-	buf   []uint64 // numBuf * B
-	acc   []uint64 // fold scratch, B words
-	in    []uint64 // input scratch, NumSlots * B; cleared by Reset
+	// cells and buf hold stateWords words per cell (row-buffer bit): the
+	// widest pass run so far, so a wide machine that only serves narrow
+	// passes only holds narrow state.
+	stateWords int
+	cells      []uint64 // numCells * stateWords, stride activeWords
+	buf        []uint64 // numBuf * stateWords, stride activeWords
+	acc        []uint64 // fold scratch, B words
+	in         []uint64 // input scratch, NumSlots * B; cleared by Reset
 
 	faults     *execFaultModel
 	fm         execFaultModel
@@ -52,20 +58,24 @@ type ExecMachine struct {
 // (1..; DefaultBlockWords is the facade's choice), initially running all
 // blockWords*64 lanes.
 func (e *Exec) NewMachine(blockWords int) *ExecMachine {
+	m := e.newMachine(blockWords)
+	m.Reset(blockWords * WordLanes)
+	return m
+}
+
+// newMachine is NewMachine with no lane count set and no cell state yet:
+// the first setLanes sizes the state to that pass.
+func (e *Exec) newMachine(blockWords int) *ExecMachine {
 	if blockWords < 1 {
 		panic(fmt.Sprintf("sim: lane block of %d words", blockWords))
 	}
-	m := &ExecMachine{
+	return &ExecMachine{
 		e:          e,
 		block:      blockWords,
-		cells:      make([]uint64, e.numCells*blockWords),
-		buf:        make([]uint64, e.numBuf*blockWords),
 		acc:        make([]uint64, blockWords),
 		in:         make([]uint64, len(e.inputNames)*blockWords),
 		flipCounts: make([]int, blockWords*WordLanes),
 	}
-	m.Reset(blockWords * WordLanes)
-	return m
 }
 
 // BlockWords returns B, the lane-block width in words.
@@ -78,7 +88,8 @@ func (m *ExecMachine) MaxLanes() int { return m.block * WordLanes }
 func (m *ExecMachine) Lanes() int { return m.lanes }
 
 // Reset prepares the machine for a fresh pass with a new lane count,
-// reusing every allocation. Fault state and the input scratch clear; cell
+// reusing every allocation (cell state grows only for a pass wider than
+// any before). Fault state and the input scratch clear; cell
 // payloads stay (the decoded program cannot observe them).
 func (m *ExecMachine) Reset(lanes int) {
 	m.setLanes(lanes)
@@ -99,6 +110,11 @@ func (m *ExecMachine) setLanes(lanes int) {
 	m.activeWords = (lanes + WordLanes - 1) / WordLanes
 	m.lastMask = ^uint64(0) >> uint(m.activeWords*WordLanes-lanes)
 	m.faults = nil
+	if m.activeWords > m.stateWords {
+		m.stateWords = m.activeWords
+		m.cells = make([]uint64, m.e.numCells*m.stateWords)
+		m.buf = make([]uint64, m.e.numBuf*m.stateWords)
+	}
 }
 
 // MaskWord returns the live-lane mask of block word b (bit l set iff lane
@@ -193,14 +209,14 @@ func (m *ExecMachine) Run(in []uint64) error {
 		case uopFoldAnd, uopFoldOr, uopFoldXor:
 			rows := e.rowOffs[op.rows0:op.rows1]
 			for i := op.p0; i < op.p1; i++ {
-				base := int(srcs[i]) * B
+				base := int(srcs[i]) * aw
 				switch op.kind {
 				case uopFoldAnd:
 					for b := range acc {
 						acc[b] = ^uint64(0)
 					}
 					for _, r := range rows {
-						co := base + int(r)*B
+						co := base + int(r)*aw
 						for b := range acc {
 							acc[b] &= cells[co+b]
 						}
@@ -210,7 +226,7 @@ func (m *ExecMachine) Run(in []uint64) error {
 						acc[b] = 0
 					}
 					for _, r := range rows {
-						co := base + int(r)*B
+						co := base + int(r)*aw
 						for b := range acc {
 							acc[b] |= cells[co+b]
 						}
@@ -220,7 +236,7 @@ func (m *ExecMachine) Run(in []uint64) error {
 						acc[b] = 0
 					}
 					for _, r := range rows {
-						co := base + int(r)*B
+						co := base + int(r)*aw
 						for b := range acc {
 							acc[b] ^= cells[co+b]
 						}
@@ -240,27 +256,27 @@ func (m *ExecMachine) Run(in []uint64) error {
 						}
 					}
 				}
-				do := int(dsts[i]) * B
+				do := int(dsts[i]) * aw
 				copy(buf[do:do+aw], acc)
 			}
 		case uopCopy:
 			for i := op.p0; i < op.p1; i++ {
-				so, do := int(srcs[i])*B, int(dsts[i])*B
+				so, do := int(srcs[i])*aw, int(dsts[i])*aw
 				copy(buf[do:do+aw], cells[so:so+aw])
 			}
 		case uopHostWrite:
 			for i := op.p0; i < op.p1; i++ {
-				so, do := int(srcs[i])*B, int(dsts[i])*B
+				so, do := int(srcs[i])*B, int(dsts[i])*aw
 				copy(cells[do:do+aw], in[so:so+aw])
 			}
 		case uopBufWrite:
 			for i := op.p0; i < op.p1; i++ {
-				so, do := int(srcs[i])*B, int(dsts[i])*B
+				so, do := int(srcs[i])*aw, int(dsts[i])*aw
 				copy(cells[do:do+aw], buf[so:so+aw])
 			}
 		case uopNot:
 			for i := op.p0; i < op.p1; i++ {
-				do := int(dsts[i]) * B
+				do := int(dsts[i]) * aw
 				for b := 0; b < aw; b++ {
 					buf[do+b] = ^buf[do+b]
 				}
@@ -273,12 +289,11 @@ func (m *ExecMachine) Run(in []uint64) error {
 }
 
 // shift moves whole row-buffer columns of one array by memmove: column c's
-// B-word block relocates to column c+dist, vacated columns zero. Inactive
-// trailing words move as garbage, which is fine — they stay unreadable.
+// block of active words relocates to column c+dist, vacated columns zero.
 func (m *ExecMachine) shift(array, dist int) {
-	B := m.block
+	aw := m.activeWords
 	n := m.e.bufCols
-	region := m.buf[array*n*B : (array+1)*n*B]
+	region := m.buf[array*n*aw : (array+1)*n*aw]
 	d := dist
 	if d < 0 {
 		d = -d
@@ -287,7 +302,7 @@ func (m *ExecMachine) shift(array, dist int) {
 		clear(region)
 		return
 	}
-	w := d * B
+	w := d * aw
 	if dist > 0 {
 		copy(region[w:], region[:len(region)-w])
 		clear(region[:w])
@@ -364,7 +379,7 @@ func (m *ExecMachine) cellBlock(p layout.Place) (int, error) {
 	if !ok || !w.CellDef[off] {
 		return 0, fmt.Errorf("sim: readout of undefined cell %v", p)
 	}
-	return off * m.block, nil
+	return off * m.activeWords, nil
 }
 
 // execFaultModel injects sense-decision faults with a geometric-skip

@@ -2,12 +2,17 @@ package sim
 
 // Chunked streaming execution: arbitrarily large lane counts flow through a
 // bounded set of wide ExecMachines instead of materializing one machine (or
-// one output block) per 256-lane group. A Stream owns S shards, each with
-// one machine. Run claims chunks dynamically on the caller's goroutine plus
-// up to min(S, chunks)-1 workers started for that run; each shard packs,
-// executes and reduces its chunk inline before claiming the next, so the N
-// shards execute N chunks concurrently. A one-chunk run never leaves the
-// caller's goroutine, and no goroutine persists between runs.
+// one output block) per 256-lane group. Run claims chunks dynamically on the
+// caller's goroutine plus up to min(S, chunks)-1 workers started for that
+// run (S = the shard count); each shard takes an idle machine from the
+// stream and packs, executes and reduces its chunks inline before claiming
+// the next, so the N shards execute N chunks concurrently. A one-chunk run
+// never leaves the caller's goroutine, and no goroutine persists between
+// runs.
+//
+// Runs may overlap: per-run state and machines come from the stream's idle
+// lists, so concurrent callers share one decoded program and one machine
+// class, and the stream holds as many machines as its busiest moment used.
 //
 // Stages do not overlap within a shard: they share one core's cache and
 // memory bandwidth, and a pipelined shard (three goroutines over a
@@ -41,8 +46,8 @@ type StreamConfig struct {
 	// MaxStreamBlockWords] that keeps one machine's state near
 	// streamStateBudget bytes.
 	BlockWords int
-	// Shards is the number of chunks executed concurrently, each on its
-	// own machine (0 = runtime.GOMAXPROCS(0)).
+	// Shards is the number of chunks one run executes concurrently, each
+	// on its own machine (0 = runtime.GOMAXPROCS(0)).
 	Shards int
 }
 
@@ -58,24 +63,27 @@ type PackFunc func(m *ExecMachine, chunk, startLane, lanes int) error
 // chunks arrive in arbitrary global order.
 type ReduceFunc func(shard int, m *ExecMachine, chunk, startLane, lanes int) error
 
-// Stream is a reusable chunked executor over one decoded program. One Run
-// executes at a time (Run serializes internally); the per-shard machines
-// persist across runs, so a warmed Stream runs with zero per-call
-// allocations. A Stream holds no goroutines between runs: dropping it
-// without Close leaks nothing, and Close only makes later Runs fail.
+// Stream is a reusable chunked executor over one decoded program, safe for
+// concurrent Runs. Machines and per-run state persist across runs on idle
+// lists, so a warmed Stream runs with zero per-call allocations. A Stream
+// holds no goroutines between runs: dropping it without Close leaks
+// nothing, and Close only makes later Runs fail.
 type Stream struct {
-	e        *Exec
-	block    int            // B, words per chunk
-	machines []*ExecMachine // per shard; nil until the shard's first chunk
-	worker   func()         // s.work, bound once so starting a worker allocates nothing
+	e      *Exec
+	block  int // B, words per chunk
+	shards int
 
-	runMu  sync.Mutex
-	closed bool
-	job    streamJob
+	mu       sync.Mutex
+	closed   bool
+	jobs     []*streamJob   // idle per-run states
+	machines []*ExecMachine // idle machines, built on a shard's first chunk
 }
 
-// streamJob is the mutable per-run state, reused across runs.
+// streamJob is the mutable state of one run, reused across runs.
 type streamJob struct {
+	s      *Stream
+	worker func() // j.work, bound once so starting a worker allocates nothing
+
 	lanes      int
 	chunkLanes int
 	chunks     int
@@ -118,9 +126,7 @@ func NewStream(e *Exec, cfg StreamConfig) (*Stream, error) {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	s := &Stream{e: e, block: block, machines: make([]*ExecMachine, shards)}
-	s.worker = s.work
-	return s, nil
+	return &Stream{e: e, block: block, shards: shards}, nil
 }
 
 // autoBlockWords picks the cache-sized chunk width for a program: small
@@ -147,23 +153,32 @@ func (s *Stream) BlockWords() int { return s.block }
 // ChunkLanes returns the lanes per chunk (B*64).
 func (s *Stream) ChunkLanes() int { return s.block * WordLanes }
 
-// Shards returns the maximum number of chunks executed concurrently.
-func (s *Stream) Shards() int { return len(s.machines) }
+// Shards returns the maximum number of chunks one run executes
+// concurrently; reduce sees shard ids in [0, Shards()).
+func (s *Stream) Shards() int { return s.shards }
 
 // Run streams lanes input vectors through the stream: chunk c covers
 // lanes [c*ChunkLanes(), ...), pack fills each chunk's input scratch and
-// reduce consumes its outputs. Runs serialize; the first error (by chunk
-// index) is returned after every worker has finished.
+// reduce consumes its outputs. Runs may overlap; the first error (by chunk
+// index) is returned after every worker of the run has finished.
 func (s *Stream) Run(lanes int, pack PackFunc, reduce ReduceFunc) error {
+	return s.RunShards(lanes, 0, pack, reduce)
+}
+
+// RunShards is Run with at most shards chunks executing concurrently (0, or
+// more than Shards(), selects Shards()): reduce then sees shard ids in
+// [0, min(shards, Shards())).
+func (s *Stream) RunShards(lanes, shards int, pack PackFunc, reduce ReduceFunc) error {
 	if lanes <= 0 {
 		return fmt.Errorf("sim: stream of %d lanes", lanes)
 	}
-	s.runMu.Lock()
-	defer s.runMu.Unlock()
-	if s.closed {
-		return fmt.Errorf("sim: Run on a closed Stream")
+	if shards <= 0 || shards > s.shards {
+		shards = s.shards
 	}
-	j := &s.job
+	j, err := s.getJob()
+	if err != nil {
+		return err
+	}
 	j.lanes = lanes
 	j.chunkLanes = s.ChunkLanes()
 	j.chunks = (lanes + j.chunkLanes - 1) / j.chunkLanes
@@ -172,45 +187,85 @@ func (s *Stream) Run(lanes int, pack PackFunc, reduce ReduceFunc) error {
 	j.shards.Store(0)
 	j.stop.Store(false)
 	j.err, j.errChunk = nil, 0
-	workers := min(len(s.machines), j.chunks) - 1
+	workers := min(shards, j.chunks) - 1
 	j.wg.Add(workers)
 	for i := 0; i < workers; i++ {
-		go s.worker()
+		go j.worker()
 	}
-	s.drain(0)
+	j.drain(0)
 	j.wg.Wait()
-	j.pack, j.reduce = nil, nil
-	return j.err
+	err = j.err
+	j.pack, j.reduce, j.err = nil, nil, nil
+	s.mu.Lock()
+	s.jobs = append(s.jobs, j)
+	s.mu.Unlock()
+	return err
 }
 
-// Close makes later Runs fail. Idempotent; an in-flight Run completes
-// first (Run holds the same lock).
+// Close makes later Runs fail. Idempotent; runs already in flight
+// complete normally.
 func (s *Stream) Close() {
-	s.runMu.Lock()
-	defer s.runMu.Unlock()
+	s.mu.Lock()
 	s.closed = true
+	s.mu.Unlock()
+}
+
+// getJob takes an idle run state, or builds one.
+func (s *Stream) getJob() (*streamJob, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, fmt.Errorf("sim: Run on a closed Stream")
+	}
+	if n := len(s.jobs); n > 0 {
+		j := s.jobs[n-1]
+		s.jobs = s.jobs[:n-1]
+		return j, nil
+	}
+	j := &streamJob{s: s}
+	j.worker = j.work
+	return j, nil
+}
+
+// getMachine takes an idle machine, or builds one at the chunk width.
+func (s *Stream) getMachine() *ExecMachine {
+	s.mu.Lock()
+	if n := len(s.machines); n > 0 {
+		m := s.machines[n-1]
+		s.machines = s.machines[:n-1]
+		s.mu.Unlock()
+		return m
+	}
+	s.mu.Unlock()
+	return s.e.newMachine(s.block)
+}
+
+// putMachine returns a machine to the idle list.
+func (s *Stream) putMachine(m *ExecMachine) {
+	s.mu.Lock()
+	s.machines = append(s.machines, m)
+	s.mu.Unlock()
 }
 
 // work is one worker goroutine of a run: it takes the next shard id and
 // drains chunks on it.
-func (s *Stream) work() {
-	s.drain(int(s.job.shards.Add(1)))
-	s.job.wg.Done()
+func (j *streamJob) work() {
+	j.drain(int(j.shards.Add(1)))
+	j.wg.Done()
 }
 
 // drain claims chunks until the run is done or stopping, and packs,
-// executes and reduces each one inline on shard's machine.
-func (s *Stream) drain(shard int) {
-	j := &s.job
+// executes and reduces each one inline on one machine, taken on the
+// shard's first chunk and returned when it runs out of chunks.
+func (j *streamJob) drain(shard int) {
+	var m *ExecMachine
 	for {
 		chunk, start, lanes, ok := j.claim()
 		if !ok {
-			return
+			break
 		}
-		m := s.machines[shard]
 		if m == nil {
-			m = s.e.NewMachine(s.block)
-			s.machines[shard] = m
+			m = j.s.getMachine()
 		}
 		m.setLanes(lanes)
 		err := j.pack(m, chunk, start, lanes)
@@ -223,6 +278,9 @@ func (s *Stream) drain(shard int) {
 		if err != nil {
 			j.fail(chunk, err)
 		}
+	}
+	if m != nil {
+		j.s.putMachine(m)
 	}
 }
 

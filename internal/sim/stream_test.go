@@ -288,7 +288,7 @@ func TestStreamDroppedHoldsNoGoroutines(t *testing.T) {
 }
 
 // TestStreamOneChunkUsesOneShard: a run that fits one chunk executes on a
-// single shard, so only that shard's machine is ever built.
+// single shard, so only one machine is ever built.
 func TestStreamOneChunkUsesOneShard(t *testing.T) {
 	e := streamTestProg(t)
 	st, err := NewStream(e, StreamConfig{BlockWords: 2, Shards: 4})
@@ -309,12 +309,73 @@ func TestStreamOneChunkUsesOneShard(t *testing.T) {
 			t.Errorf("lanes %d: reduced on shards %v, want [0]", lanes, used)
 		}
 	}
-	for i, m := range st.machines {
-		if (m != nil) != (i == 0) {
-			t.Errorf("shard %d machine built = %v, want only shard 0", i, m != nil)
-		}
+	if len(st.machines) != 1 {
+		t.Fatalf("stream built %d machines, want 1", len(st.machines))
 	}
 	if m := st.machines[0]; m.BlockWords() != st.BlockWords() {
-		t.Errorf("shard machine is %d words wide, want %d", m.BlockWords(), st.BlockWords())
+		t.Errorf("machine is %d words wide, want %d", m.BlockWords(), st.BlockWords())
+	}
+}
+
+// TestStreamConcurrentRuns: G goroutines run one Stream at once, at lane
+// counts on both sides of the chunk edges and with per-run shard caps;
+// every result must equal the host-computed AND, and every reducer must
+// see shard ids inside its run's cap.
+func TestStreamConcurrentRuns(t *testing.T) {
+	e := streamTestProg(t)
+	st, err := NewStream(e, StreamConfig{BlockWords: 2, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	const G = 8
+	laneCases := []int{1, 127, 128, 129, 257, 1000, 1025}
+	var wg sync.WaitGroup
+	errs := make(chan error, G)
+	for g := 0; g < G; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < 20; r++ {
+				lanes := laneCases[(g+r)%len(laneCases)]
+				shards := g % 4 // 0 selects Shards()
+				in, want := streamInputs(e, lanes)
+				W := (lanes + 63) / 64
+				got := make([]uint64, W)
+				limit := shards
+				if limit == 0 {
+					limit = st.Shards()
+				}
+				pack := func(m *ExecMachine, chunk, start, n int) error {
+					w0, gw, B := start/64, (n+63)/64, m.BlockWords()
+					for s := 0; s < e.NumSlots(); s++ {
+						copy(m.InputBlock()[s*B:s*B+gw], in[s*W+w0:s*W+w0+gw])
+					}
+					return nil
+				}
+				reduce := func(shard int, m *ExecMachine, chunk, start, n int) error {
+					if shard < 0 || shard >= limit {
+						return fmt.Errorf("shard %d outside cap %d", shard, limit)
+					}
+					_, err := m.OutWords(streamOutPlace, got[start/64:])
+					return err
+				}
+				if err := st.RunShards(lanes, shards, pack, reduce); err != nil {
+					errs <- fmt.Errorf("goroutine %d lanes %d: %v", g, lanes, err)
+					return
+				}
+				for w := range want {
+					if got[w] != want[w] {
+						errs <- fmt.Errorf("goroutine %d lanes %d: word %d = %#x, want %#x", g, lanes, w, got[w], want[w])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

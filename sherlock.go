@@ -37,7 +37,6 @@ import (
 	"sherlock/internal/isa"
 	"sherlock/internal/layout"
 	"sherlock/internal/mapping"
-	"sherlock/internal/pool"
 	"sherlock/internal/reliability"
 	"sherlock/internal/sim"
 	"sherlock/internal/verify"
@@ -190,10 +189,6 @@ func (o Options) withDefaults() Options {
 // caches (internal/serve) key on.
 func (o Options) Normalized() Options { return o.withDefaults() }
 
-// execBlockWords is the lane-block width of the pooled batch executors:
-// sim.DefaultBlockWords words = 256 input vectors per decoded program pass.
-const execBlockWords = sim.DefaultBlockWords
-
 // ResynthStats reports what the co-optimization loop did: baseline and
 // best scores, AIG sizes, candidate counts and per-iteration outcomes.
 type ResynthStats = coopt.Stats
@@ -220,13 +215,16 @@ type Compiled struct {
 	outPlaces []Place  // readout cell of each output, same order
 	outErr    error
 
-	// The program decodes into a micro-op executor once per Compiled;
-	// machines (per-worker mutable state over the shared Exec) pool across
-	// Run/RunBatch calls.
-	execOnce sync.Once
-	execVal  *sim.Exec
-	execErr  error
-	machines sync.Pool
+	// The program decodes once per Compiled into one chunked stream
+	// (internal/sim) at the auto chunk width. Every packed execution — Run,
+	// RunBatch, RunBatchWords and Streamer.Run — runs on it, concurrently.
+	streamOnce sync.Once
+	streamVal  *sim.Stream
+	streamErr  error
+	chunkWords int // forced chunk width in words, 0 = auto (tests)
+
+	runMu sync.Mutex
+	runs  []*packedRun // idle per-call states
 }
 
 // CompileC parses a C-subset kernel (see internal/cparser for the accepted
@@ -392,25 +390,51 @@ func (c *Compiled) Timeline() ([]sim.Event, Cost, error) {
 }
 
 // Run executes the program bit-exactly on the array simulator with the
-// given input assignment and reads back the kernel outputs by name.
+// given input assignment and reads back the kernel outputs by name: it is
+// RunBatch of one vector.
 func (c *Compiled) Run(inputs map[string]bool) (map[string]bool, error) {
-	outs, _, err := c.run(inputs, false, 0)
-	return outs, err
+	outs, err := c.RunBatch([]map[string]bool{inputs}, 1)
+	if err != nil {
+		return nil, err
+	}
+	return outs[0], nil
 }
 
 // RunWithFaults executes with fault injection enabled: every sense decision
 // flips with its decision-failure probability. It additionally returns how
 // many faults were injected.
+//
+// Fault injection runs on the scalar machine: its per-decision Bernoulli
+// draws are a different (equally valid) sampling of the same distribution
+// than the executor's geometric-skip streams, and existing seeds pin
+// existing patterns.
 func (c *Compiled) RunWithFaults(inputs map[string]bool, seed int64) (map[string]bool, int, error) {
-	return c.run(inputs, true, seed)
+	m := sim.NewMachine(c.result.Layout.Target())
+	m.EnableFaultInjection(device.ParamsFor(c.opts.Tech), seed)
+	if err := m.Run(c.Program, inputs); err != nil {
+		return nil, 0, err
+	}
+	outNames, outPlaces, err := c.outputs()
+	if err != nil {
+		return nil, 0, err
+	}
+	outs := make(map[string]bool, len(outNames))
+	for i, p := range outPlaces {
+		v, err := m.ReadOut(p)
+		if err != nil {
+			return nil, 0, err
+		}
+		outs[outNames[i]] = v
+	}
+	return outs, m.FaultCount(), nil
 }
 
 // RunBatch executes the program once per input assignment: the maps pack
 // into a RunBatchWords input block (one vector per bit lane), run through
 // RunBatchWords with up to parallelism workers (0 selects
 // runtime.GOMAXPROCS(0)), and unpack into one output map per vector.
-// Outputs come back in input order, bit-for-bit identical to calling Run
-// sequentially. An empty batch returns an empty result.
+// Outputs come back in input order, one map per vector. An empty batch
+// returns an empty result.
 //
 // Ownership: the returned maps are freshly allocated on every call and
 // never retained or pooled by the library — the caller may keep, mutate,
@@ -463,50 +487,11 @@ func (c *Compiled) RunBatch(batch []map[string]bool, parallelism int) ([]map[str
 // same stride: out[o*W + w] carries output o (OutputNames() order) of
 // vectors 64w..64w+63, dead lanes masked to zero. A non-nil out with
 // sufficient capacity is reused, making steady-state calls allocation-free.
-// Lane blocks of up to 256 vectors (execBlockWords*64) fan out over up to
-// parallelism workers (0 selects runtime.GOMAXPROCS(0)) with pooled
-// per-worker machine state.
+// The lanes stream through the Compiled's chunked executor, up to
+// parallelism chunks at a time (0 selects runtime.GOMAXPROCS(0)), each
+// chunk's outputs copying straight into out; concurrent calls are safe.
 func (c *Compiled) RunBatchWords(in []uint64, lanes int, out []uint64, parallelism int) ([]uint64, error) {
-	if lanes <= 0 {
-		return nil, fmt.Errorf("sherlock: RunBatchWords needs at least one lane, got %d", lanes)
-	}
-	ex, err := c.exec()
-	if err != nil {
-		return nil, err
-	}
-	names := c.inputNames()
-	W := laneWords(lanes)
-	if len(in) < len(names)*W {
-		return nil, fmt.Errorf("sherlock: input block has %d words, need %d (%d inputs x %d lane words)",
-			len(in), len(names)*W, len(names), W)
-	}
-	outNames, _, err := c.outputs()
-	if err != nil {
-		return nil, err
-	}
-	need := len(outNames) * W
-	if cap(out) < need {
-		out = make([]uint64, need)
-	} else {
-		out = out[:need]
-	}
-	blockLanes := execBlockWords * sim.WordLanes
-	groups := (lanes + blockLanes - 1) / blockLanes
-	if groups == 1 {
-		// The common serving case (one coalesced 256-lane pass): skip the
-		// worker-pool closure so the steady state allocates nothing.
-		err = c.runWordsGroup(ex, in, out, W, 0, lanes)
-	} else {
-		err = pool.Run(parallelism, groups, func(g int) error {
-			start := g * blockLanes
-			end := min(start+blockLanes, lanes)
-			return c.runWordsGroup(ex, in, out, W, start, end)
-		})
-	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return c.runPacked(in, lanes, out, nil, parallelism)
 }
 
 // laneWords returns W, the per-slot word stride of a packed lane block.
@@ -529,21 +514,18 @@ func (c *Compiled) OutputNames() []string {
 	return names
 }
 
-// exec returns the pre-decoded executor, built once per Compiled.
-func (c *Compiled) exec() (*sim.Exec, error) {
-	c.execOnce.Do(func() {
-		c.execVal, c.execErr = sim.Predecode(c.Program, c.result.Layout.Target())
+// stream returns the Compiled's chunked executor: the program decodes and
+// the stream is built once, on first use.
+func (c *Compiled) stream() (*sim.Stream, error) {
+	c.streamOnce.Do(func() {
+		ex, err := sim.Predecode(c.Program, c.result.Layout.Target())
+		if err != nil {
+			c.streamErr = err
+			return
+		}
+		c.streamVal, c.streamErr = sim.NewStream(ex, sim.StreamConfig{BlockWords: c.chunkWords})
 	})
-	return c.execVal, c.execErr
-}
-
-// getMachine borrows a pooled lane-block machine for ex (all of a
-// Compiled's machines share its one Exec). Return it with c.machines.Put.
-func (c *Compiled) getMachine(ex *sim.Exec) *sim.ExecMachine {
-	if v := c.machines.Get(); v != nil {
-		return v.(*sim.ExecMachine)
-	}
-	return ex.NewMachine(execBlockWords)
+	return c.streamVal, c.streamErr
 }
 
 // inputNames returns the host-write bindings the program consumes, computed
@@ -557,7 +539,7 @@ func (c *Compiled) inputNames() []string {
 }
 
 // outputs resolves the kernel outputs' names and readout cells once per
-// Compiled; every batch group previously redid the layout lookups.
+// Compiled.
 func (c *Compiled) outputs() ([]string, []Place, error) {
 	c.outOnce.Do(func() {
 		outs := c.Graph.Outputs()
@@ -574,99 +556,6 @@ func (c *Compiled) outputs() ([]string, []Place, error) {
 		}
 	})
 	return c.outNames, c.outPlaces, c.outErr
-}
-
-// runWordsGroup runs lanes [start,end) of a packed lane block through one
-// executor pass: group words copy straight from the caller's slot-major
-// block into the machine's input scratch and readout words copy straight
-// back out — no maps, no per-vector work, no allocation.
-func (c *Compiled) runWordsGroup(ex *sim.Exec, in, out []uint64, W, start, end int) error {
-	lanes := end - start
-	w0 := start / sim.WordLanes // group word offset (start is block-aligned)
-	gw := laneWords(lanes)
-	m := c.getMachine(ex)
-	defer c.machines.Put(m)
-	m.Reset(lanes)
-	inBlock := m.InputBlock()
-	B := m.BlockWords()
-	for s := range c.inputNames() {
-		copy(inBlock[s*B:s*B+gw], in[s*W+w0:s*W+w0+gw])
-	}
-	if err := m.Run(inBlock); err != nil {
-		return fmt.Errorf("sherlock: batch lanes [%d,%d): %w", start, end, err)
-	}
-	_, outPlaces, err := c.outputs()
-	if err != nil {
-		return err
-	}
-	for oi, p := range outPlaces {
-		for b := 0; b < gw; b++ {
-			w, err := m.ReadOutWord(p, b)
-			if err != nil {
-				return err
-			}
-			out[oi*W+w0+b] = w
-		}
-	}
-	return nil
-}
-
-func (c *Compiled) run(inputs map[string]bool, faults bool, seed int64) (map[string]bool, int, error) {
-	if faults {
-		// Fault injection stays on the scalar machine: its per-decision
-		// Bernoulli draws are a different (equally valid) sampling of the
-		// same distribution than the executor's geometric-skip streams, and
-		// existing seeds pin existing patterns.
-		m := sim.NewMachine(c.result.Layout.Target())
-		m.EnableFaultInjection(device.ParamsFor(c.opts.Tech), seed)
-		if err := m.Run(c.Program, inputs); err != nil {
-			return nil, 0, err
-		}
-		outs := make(map[string]bool, len(c.Graph.Outputs()))
-		for _, out := range c.Graph.Outputs() {
-			p, err := c.result.OutputPlace(out)
-			if err != nil {
-				return nil, 0, err
-			}
-			v, err := m.ReadOut(p)
-			if err != nil {
-				return nil, 0, err
-			}
-			outs[c.Graph.OutputName(out)] = v
-		}
-		return outs, m.FaultCount(), nil
-	}
-	ex, err := c.exec()
-	if err != nil {
-		return nil, 0, err
-	}
-	m := c.getMachine(ex)
-	defer c.machines.Put(m)
-	m.Reset(1)
-	words := make(map[string]uint64, len(inputs))
-	for k, v := range inputs { //sherlock:allow rangemap (map-to-map rekeying; order-insensitive)
-		var w uint64
-		if v {
-			w = 1
-		}
-		words[k] = w
-	}
-	if err := m.RunMap(words); err != nil {
-		return nil, 0, err
-	}
-	outNames, outPlaces, err := c.outputs()
-	if err != nil {
-		return nil, 0, err
-	}
-	outs := make(map[string]bool, len(outNames))
-	for oi, p := range outPlaces {
-		w, err := m.ReadOutWord(p, 0)
-		if err != nil {
-			return nil, 0, err
-		}
-		outs[outNames[oi]] = w&1 == 1
-	}
-	return outs, 0, nil
 }
 
 // Evaluate computes the kernel's reference semantics directly on the DFG

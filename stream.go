@@ -1,27 +1,29 @@
 package sherlock
 
 // Streaming execution: the facade over internal/sim's chunked stream.
-// RunStream makes arbitrarily large packed inputs a first-class fast path —
-// the input block is split into cache-sized chunks, each shard packs,
-// executes and reduces its chunks inline on one wide ExecMachine, and
-// fused word-level reduction sinks (popcount-accumulate, any/all,
-// select-mask gather, bit-plane sums) answer aggregate queries without
-// ever materializing full output bitmaps.
+// Each Compiled owns one stream; RunBatchWords and RunStream/Streamer are
+// two ways to consume it. The input block is split into cache-sized
+// chunks, each shard packs, executes and reduces its chunks inline on one
+// wide ExecMachine, and fused word-level reduction sinks (popcount-
+// accumulate, any/all, select-mask gather, bit-plane sums) answer
+// aggregate queries without ever materializing full output bitmaps.
 
 import (
 	"fmt"
 	"math/bits"
-	"sync"
+	"sync/atomic"
 
 	"sherlock/internal/sim"
 )
 
 // StreamOptions configures RunStream / NewStreamer.
 type StreamOptions struct {
-	// Parallelism is the shard count — chunks executed concurrently, each
-	// shard on its own machine (0 = runtime.GOMAXPROCS(0)). The chunk
-	// width auto-sizes so one chunk's machine state stays cache-resident
-	// (wide chunks for small kernels, batch-width for huge ones).
+	// Parallelism caps the shard count of each run — chunks executed
+	// concurrently, each shard on its own machine (0, or more than
+	// runtime.GOMAXPROCS(0) at the program's first run, selects that
+	// GOMAXPROCS). The chunk width auto-sizes so one chunk's machine state
+	// stays cache-resident (wide chunks for small kernels, batch-width for
+	// huge ones).
 	Parallelism int
 }
 
@@ -57,40 +59,90 @@ type StreamSink interface {
 	end(g streamGeom) error
 }
 
-// Streamer is a reusable streaming executor over one compiled program:
-// machines and scratch persist across Run calls, so the steady state
-// allocates nothing. One Run executes at a time (calls serialize). A
-// Streamer holds no goroutines between runs; Close makes later runs fail.
-// RunStream is the build-run-close convenience for one-shot calls.
+// Streamer is a handle for streaming runs of one compiled program: the
+// Compiled plus a per-run shard cap. Runs execute on the Compiled's one
+// stream, so overlapping Runs on one Streamer are allowed, each with its
+// own sink, and a warmed Streamer+sink pair allocates nothing. A Streamer
+// holds no goroutines; Close makes later runs fail. RunStream is the
+// one-shot convenience.
 type Streamer struct {
-	c   *Compiled
-	st  *sim.Stream
-	fns struct {
-		pack   sim.PackFunc
-		reduce sim.ReduceFunc
+	c      *Compiled
+	shards int
+	closed atomic.Bool
+}
+
+// NewStreamer builds a streaming handle. It starts no goroutine and builds
+// no machine until a chunk runs.
+func (c *Compiled) NewStreamer(opts StreamOptions) (*Streamer, error) {
+	st, err := c.stream()
+	if err != nil {
+		return nil, err
 	}
+	if _, _, err := c.outputs(); err != nil {
+		return nil, err
+	}
+	return &Streamer{c: c, shards: shardCap(st, opts.Parallelism)}, nil
+}
 
-	numIn     int
-	outNames  []string
-	outPlaces []Place
-	outbufs   [][]uint64 // per shard: numOut * chunk words
+// shardCap resolves a parallelism setting to a run's shard count: n, or
+// the stream's shard count when n is 0 or exceeds it.
+func shardCap(st *sim.Stream, n int) int {
+	if n <= 0 || n > st.Shards() {
+		return st.Shards()
+	}
+	return n
+}
 
-	mu   sync.Mutex
+// ChunkLanes returns the chunk width in lanes.
+func (s *Streamer) ChunkLanes() int { return s.c.streamVal.ChunkLanes() }
+
+// Shards returns the maximum number of chunks one run executes
+// concurrently.
+func (s *Streamer) Shards() int { return s.shards }
+
+// Close makes later Runs fail. Idempotent; runs in flight complete.
+func (s *Streamer) Close() { s.closed.Store(true) }
+
+// Run streams lanes packed input vectors (RunBatchWords slot-major layout,
+// stride ceil(lanes/64)) through the stream into sink. A warmed
+// Streamer+sink pair runs with zero allocations.
+func (s *Streamer) Run(in []uint64, lanes int, sink StreamSink) error {
+	if s.closed.Load() {
+		return fmt.Errorf("sherlock: Run on a closed Streamer")
+	}
+	_, err := s.c.runPacked(in, lanes, nil, sink, s.shards)
+	return err
+}
+
+// packedRun is the per-call state of one packed execution on a Compiled's
+// stream: the caller's input block and either its output block
+// (RunBatchWords) or a sink with per-shard chunk buffers (Streamer.Run).
+// Idle runs wait on a per-Compiled list and bind their pack/reduce methods
+// once, so a warm call allocates nothing.
+type packedRun struct {
+	numIn  int
+	places []Place // readout cell of each output
+
 	in   []uint64
 	inW  int
-	sink StreamSink
+	out  []uint64   // output block, stride inW; nil when a sink consumes
+	sink StreamSink // nil for RunBatchWords
+	bufs [][]uint64 // per shard: numOut * chunk words, built on first use
+
+	pack   sim.PackFunc
+	reduce sim.ReduceFunc
 }
 
-// NewStreamer builds a reusable streaming executor. It starts no
-// goroutine and builds no machine until a chunk runs.
-func (c *Compiled) NewStreamer(opts StreamOptions) (*Streamer, error) {
-	return c.newStreamer(opts, 0)
-}
-
-// newStreamer is NewStreamer with a forced chunk width of blockWords words
-// (0 auto-sizes).
-func (c *Compiled) newStreamer(opts StreamOptions, blockWords int) (*Streamer, error) {
-	ex, err := c.exec()
+// runPacked executes lanes packed input vectors (slot-major, stride
+// ceil(lanes/64)) on the Compiled's stream with at most parallelism chunks
+// in flight (0 = the stream's shard count). With a nil sink the outputs
+// copy into out, resized to the output block (reused when its capacity
+// suffices), which is returned; otherwise each chunk's outputs go to sink.
+func (c *Compiled) runPacked(in []uint64, lanes int, out []uint64, sink StreamSink, parallelism int) ([]uint64, error) {
+	if lanes <= 0 {
+		return nil, fmt.Errorf("sherlock: packed run needs at least one lane, got %d", lanes)
+	}
+	st, err := c.stream()
 	if err != nil {
 		return nil, err
 	}
@@ -98,96 +150,102 @@ func (c *Compiled) newStreamer(opts StreamOptions, blockWords int) (*Streamer, e
 	if err != nil {
 		return nil, err
 	}
-	st, err := sim.NewStream(ex, sim.StreamConfig{BlockWords: blockWords, Shards: opts.Parallelism})
+	numIn := len(c.inputNames())
+	W := laneWords(lanes)
+	if len(in) < numIn*W {
+		return nil, fmt.Errorf("sherlock: input block has %d words, need %d (%d inputs x %d lane words)",
+			len(in), numIn*W, numIn, W)
+	}
+	shards := shardCap(st, parallelism)
+	g := streamGeom{
+		lanes:      lanes,
+		chunkLanes: st.ChunkLanes(),
+		chunks:     (lanes + st.ChunkLanes() - 1) / st.ChunkLanes(),
+		shards:     shards,
+		outNames:   outNames,
+	}
+	if sink == nil {
+		need := len(outNames) * W
+		if cap(out) < need {
+			out = make([]uint64, need)
+		} else {
+			out = out[:need]
+		}
+	} else if err := sink.begin(g); err != nil {
+		return nil, err
+	}
+
+	r := c.getRun(numIn, outPlaces)
+	if len(r.bufs) < shards {
+		r.bufs = append(r.bufs, make([][]uint64, shards-len(r.bufs))...)
+	}
+	r.in, r.inW, r.out, r.sink = in, W, out, sink
+	err = st.RunShards(lanes, shards, r.pack, r.reduce)
+	r.in, r.out, r.sink = nil, nil, nil
+	c.runMu.Lock()
+	c.runs = append(c.runs, r)
+	c.runMu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	s := &Streamer{
-		c:         c,
-		st:        st,
-		numIn:     len(c.inputNames()),
-		outNames:  outNames,
-		outPlaces: outPlaces,
+	if sink != nil {
+		return nil, sink.end(g)
 	}
-	cw := st.BlockWords()
-	s.outbufs = make([][]uint64, st.Shards())
-	for i := range s.outbufs {
-		s.outbufs[i] = make([]uint64, len(outPlaces)*cw)
-	}
-	// The pack/reduce closures bind once so Run stores only data fields.
-	s.fns.pack = s.packChunk
-	s.fns.reduce = s.reduceChunk
-	return s, nil
+	return out, nil
 }
 
-// ChunkLanes returns the chunk width in lanes.
-func (s *Streamer) ChunkLanes() int { return s.st.ChunkLanes() }
-
-// Shards returns the maximum number of chunks executed concurrently.
-func (s *Streamer) Shards() int { return s.st.Shards() }
-
-// Close makes later Runs fail. Idempotent.
-func (s *Streamer) Close() { s.st.Close() }
-
-// Run streams lanes packed input vectors (RunBatchWords slot-major layout,
-// stride ceil(lanes/64)) through the stream into sink. A warmed
-// Streamer+sink pair runs with zero allocations.
-func (s *Streamer) Run(in []uint64, lanes int, sink StreamSink) error {
-	if lanes <= 0 {
-		return fmt.Errorf("sherlock: RunStream needs at least one lane, got %d", lanes)
+// getRun takes an idle per-call state, or builds one.
+func (c *Compiled) getRun(numIn int, places []Place) *packedRun {
+	c.runMu.Lock()
+	defer c.runMu.Unlock()
+	if n := len(c.runs); n > 0 {
+		r := c.runs[n-1]
+		c.runs = c.runs[:n-1]
+		return r
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	W := laneWords(lanes)
-	if len(in) < s.numIn*W {
-		return fmt.Errorf("sherlock: input block has %d words, need %d (%d inputs x %d lane words)",
-			len(in), s.numIn*W, s.numIn, W)
-	}
-	chunk := s.st.ChunkLanes()
-	g := streamGeom{
-		lanes:      lanes,
-		chunkLanes: chunk,
-		chunks:     (lanes + chunk - 1) / chunk,
-		shards:     s.st.Shards(),
-		outNames:   s.outNames,
-	}
-	if err := sink.begin(g); err != nil {
-		return err
-	}
-	s.in, s.inW, s.sink = in, W, sink
-	err := s.st.Run(lanes, s.fns.pack, s.fns.reduce)
-	s.in, s.sink = nil, nil
-	if err != nil {
-		return err
-	}
-	return sink.end(g)
+	r := &packedRun{numIn: numIn, places: places}
+	r.pack, r.reduce = r.packChunk, r.reduceChunk
+	return r
 }
 
 // packChunk copies the chunk's slice of the caller's slot-major block into
-// the machine's input scratch — the only per-lane input cost on the
-// streaming path (no maps, no per-vector decode).
-func (s *Streamer) packChunk(m *sim.ExecMachine, chunk, start, lanes int) error {
+// the machine's input scratch — the only per-lane input cost (no maps, no
+// per-vector decode).
+func (r *packedRun) packChunk(m *sim.ExecMachine, chunk, start, lanes int) error {
 	w0 := start / sim.WordLanes // chunk starts are word-aligned
 	gw := laneWords(lanes)
 	in := m.InputBlock()
 	B := m.BlockWords()
-	for slot := 0; slot < s.numIn; slot++ {
-		copy(in[slot*B:slot*B+gw], s.in[slot*s.inW+w0:slot*s.inW+w0+gw])
+	for slot := 0; slot < r.numIn; slot++ {
+		copy(in[slot*B:slot*B+gw], r.in[slot*r.inW+w0:slot*r.inW+w0+gw])
 	}
 	return nil
 }
 
-// reduceChunk reads the chunk's output words into the shard's scratch and
-// hands them to the sink.
-func (s *Streamer) reduceChunk(shard int, m *sim.ExecMachine, chunk, start, lanes int) error {
+// reduceChunk reads the chunk's output words straight into the caller's
+// output block, or into the shard's buffer for the sink.
+func (r *packedRun) reduceChunk(shard int, m *sim.ExecMachine, chunk, start, lanes int) error {
 	cw := laneWords(lanes)
-	buf := s.outbufs[shard]
-	for oi, p := range s.outPlaces {
+	if r.sink == nil {
+		w0 := start / sim.WordLanes
+		for oi, p := range r.places {
+			if _, err := m.OutWords(p, r.out[oi*r.inW+w0:oi*r.inW+w0+cw]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	buf := r.bufs[shard]
+	if buf == nil {
+		buf = make([]uint64, len(r.places)*m.BlockWords())
+		r.bufs[shard] = buf
+	}
+	for oi, p := range r.places {
 		if _, err := m.OutWords(p, buf[oi*cw:oi*cw+cw]); err != nil {
 			return err
 		}
 	}
-	return s.sink.consume(shard, chunk, start, lanes, buf[:len(s.outPlaces)*cw], cw)
+	return r.sink.consume(shard, chunk, start, lanes, buf[:len(r.places)*cw], cw)
 }
 
 // RunStream streams lanes packed input vectors through the chunked
@@ -201,7 +259,6 @@ func (c *Compiled) RunStream(in []uint64, lanes int, sink StreamSink, opts Strea
 	if err != nil {
 		return err
 	}
-	defer s.Close()
 	return s.Run(in, lanes, sink)
 }
 
