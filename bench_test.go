@@ -172,6 +172,40 @@ func BenchmarkMapperOptimizedAES(b *testing.B) {
 	}
 }
 
+// BenchmarkCompileTable2 builds and compiles the three paper kernels at
+// Table 2 scale (AES-128, Sobel 4x4, BitWeaving-V 32bx16) the way the
+// compile workload of bench/ does: Alg. 2 on four 512x512 STT-MRAM arrays
+// with both static gates on. Every DFG walk of the compiler — b-levels,
+// the ready walker, clustering, emission, the AIG lift — runs here.
+func BenchmarkCompileTable2(b *testing.B) {
+	builds := []func() (*dfg.Graph, error){
+		func() (*dfg.Graph, error) { return aes.Build(aes.DefaultConfig()) },
+		func() (*dfg.Graph, error) { return sobel.Build(sobel.DefaultConfig()) },
+		func() (*dfg.Graph, error) { return bitweaving.Build(bitweaving.DefaultConfig()) },
+	}
+	opts := sherlock.Options{
+		Tech: sherlock.STTMRAM, ArraySize: 512, Arrays: 4, Mapper: sherlock.MapperOptimized,
+		VerifyEmitted: true, VerifyEquivalence: true,
+	}
+	b.ReportAllocs()
+	instructions := 0
+	for i := 0; i < b.N; i++ {
+		instructions = 0
+		for _, build := range builds {
+			g, err := build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			c, err := sherlock.CompileGraph(g, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			instructions += len(c.Program)
+		}
+	}
+	b.ReportMetric(float64(instructions), "instructions")
+}
+
 // BenchmarkMergeInstructions isolates the cross-cluster merge pass (level
 // scheduling, hazard analysis, and bucket merging) on the largest program
 // the quick kernels produce: the unmerged naive AES mapping.

@@ -1,6 +1,6 @@
 package aig
 
-import "sort"
+import "slices"
 
 // Canonical n-ary fold constructors. AndN/OrN/XorN sort their operands by
 // literal value before folding, so every permutation of the same operand
@@ -20,8 +20,12 @@ func (g *Graph) AndN(lits []Lit) Lit {
 	case 1:
 		return lits[0]
 	}
-	s := append(make([]Lit, 0, len(lits)), lits...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	return g.andSorted(append(make([]Lit, 0, len(lits)), lits...))
+}
+
+// andSorted sorts s in place and folds And over it.
+func (g *Graph) andSorted(s []Lit) Lit {
+	slices.Sort(s)
 	v := s[0]
 	for _, l := range s[1:] {
 		v = g.And(v, l)
@@ -42,7 +46,7 @@ func (g *Graph) OrN(lits []Lit) Lit {
 	for i, l := range lits {
 		s[i] = l.Not()
 	}
-	return g.AndN(s).Not()
+	return g.andSorted(s).Not()
 }
 
 // XorN returns the parity of lits (Const0 for an empty list). Operand
@@ -62,7 +66,7 @@ func (g *Graph) XorN(lits []Lit) Lit {
 		}
 		s = append(s, l)
 	}
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 	// Adjacent duplicates cancel (x XOR x = 0); fold what survives.
 	v := Const0
 	for i := 0; i < len(s); i++ {

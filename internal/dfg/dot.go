@@ -10,7 +10,7 @@ import (
 // paper's Fig. 3b: operand nodes as orange ellipses, op nodes as blue boxes
 // annotated with their b-level in red.
 func (g *Graph) WriteDOT(w io.Writer, title string) error {
-	bl := g.BLevels()
+	bl := g.BLevelsDense()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "digraph %q {\n", title)
 	sb.WriteString("  rankdir=TB;\n")

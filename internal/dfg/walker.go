@@ -51,7 +51,7 @@ func (g *Graph) NewReadyWalker() *ReadyWalker {
 		op := NodeID(id)
 		n := int32(0)
 		for _, in := range g.opInputs[op] {
-			if _, ok := g.producer[in]; ok {
+			if g.producer[in] != NoNode {
 				n++
 			}
 		}

@@ -94,12 +94,17 @@ func Predecode(p isa.Program, t layout.Target) (*Exec, error) {
 	if err != nil {
 		return nil, err
 	}
+	nOps, nPairs, nRows := decodeSizes(p)
 	d := &decoder{
 		e: &Exec{
 			walk:     w,
 			numCells: len(w.CellDef),
 			bufCols:  t.Cols,
 			numBuf:   len(w.BufDef),
+			ops:      make([]microOp, 0, nOps),
+			srcs:     make([]int32, 0, nPairs),
+			dsts:     make([]int32, 0, nPairs),
+			rowOffs:  make([]int32, 0, nRows),
 		},
 		w:        w,
 		classIdx: make(map[isa.SenseClass]int32),
@@ -109,6 +114,31 @@ func Predecode(p isa.Program, t layout.Target) (*Exec, error) {
 	}
 	d.e.inputNames = w.Inputs
 	return d.e, nil
+}
+
+// decodeSizes bounds, in one pass over the program, what the decoder
+// appends: micro-ops (one per instruction, plus one per op change along a
+// scouting read's columns), operand pairs (one per column of a read, write
+// or NOT) and activated rows of reads. Predecode sizes its pools with
+// them, so decoding grows nothing by doubling.
+func decodeSizes(p isa.Program) (ops, pairs, rows int) {
+	for i := range p {
+		in := &p[i]
+		ops++
+		switch in.Kind {
+		case isa.KindShift:
+			continue
+		case isa.KindRead:
+			rows += len(in.Rows)
+			for c := 1; c < len(in.Ops); c++ {
+				if in.Ops[c] != in.Ops[c-1] {
+					ops++
+				}
+			}
+		}
+		pairs += len(in.Cols)
+	}
+	return ops, pairs, rows
 }
 
 // decoder is the strict walk's micro-op emitter.
