@@ -94,11 +94,10 @@ func LiftDFG(src *dfg.Graph) (*Cone, error) {
 		G:           g,
 		Outs:        make([]Lit, len(outs)),
 		InputNames:  names,
-		OutputNames: make([]string, len(outs)),
+		OutputNames: src.OutputNames(),
 	}
 	for i, o := range outs {
 		c.Outs[i] = lits[o]
-		c.OutputNames[i] = src.OutputName(o)
 	}
 	return c, nil
 }

@@ -29,14 +29,14 @@ func VerifyMapped(res *mapping.Result, maxRows int) error {
 // counterexample; outputs that exhaust the proof budget come back
 // unproven and the caller falls back to FuzzEquivalence.
 func ProveMapped(res *mapping.Result, kernel *dfg.Graph) (*verify.EquivReport, error) {
-	outs := res.Graph.Outputs()
+	outs, names := res.Graph.Outputs(), res.Graph.OutputNames()
 	specs := make([]verify.OutputAt, len(outs))
 	for i, o := range outs {
 		p, err := res.OutputPlace(o)
 		if err != nil {
 			return nil, err
 		}
-		specs[i] = verify.OutputAt{Name: res.Graph.OutputName(o), Place: p}
+		specs[i] = verify.OutputAt{Name: names[i], Place: p}
 	}
 	return verify.EquivalentOpts(res.Program, res.Layout.Target(), kernel, specs, verify.EquivOptions{})
 }

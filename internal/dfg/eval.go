@@ -45,8 +45,8 @@ func EvaluateByName(g *Graph, inputs map[string]bool) (map[string]bool, error) {
 		return nil, err
 	}
 	out := make(map[string]bool, len(g.outputs))
-	for _, o := range g.outputs {
-		out[g.OutputName(o)] = vals[o]
+	for i, o := range g.outputs {
+		out[g.outputName(i)] = vals[o]
 	}
 	return out, nil
 }
@@ -67,8 +67,8 @@ func EvaluateWords(g *Graph, inputs map[string]uint64) (map[string]uint64, error
 	}
 	res := NewWordEvaluator(g).Eval(words)
 	out := make(map[string]uint64, len(g.outputs))
-	for j, o := range g.outputs {
-		out[g.OutputName(o)] = res[j]
+	for j := range g.outputs {
+		out[g.outputName(j)] = res[j]
 	}
 	return out, nil
 }

@@ -65,14 +65,14 @@ func main() {
 			// The readout manifest sidecar lets tools (sherlock-lint -equiv,
 			// the golden CI gate) reconnect the pinned program to its
 			// kernel's outputs without redoing the mapping.
-			outs := res.Graph.Outputs()
+			outs, names := res.Graph.Outputs(), res.Graph.OutputNames()
 			specs := make([]verify.OutputAt, len(outs))
 			for i, o := range outs {
 				p, err := res.OutputPlace(o)
 				if err != nil {
 					panic(fmt.Sprintf("%s/%s: %v", k.name, mode, err))
 				}
-				specs[i] = verify.OutputAt{Name: res.Graph.OutputName(o), Place: p}
+				specs[i] = verify.OutputAt{Name: names[i], Place: p}
 			}
 			opath := filepath.Join(dir, k.name+"_"+mode+".outputs")
 			if err := os.WriteFile(opath, []byte(verify.FormatOutputs(specs)), 0o644); err != nil {

@@ -116,11 +116,11 @@ func writeGraph(h hash.Hash, g *dfg.Graph) {
 			writeUint(h, uint64(in))
 		}
 	}
-	outs := g.Outputs()
+	outs, names := g.Outputs(), g.OutputNames()
 	writeUint(h, uint64(len(outs)))
-	for _, out := range outs {
+	for i, out := range outs {
 		writeUint(h, uint64(out))
-		writeStr(h, g.OutputName(out))
+		writeStr(h, names[i])
 	}
 }
 

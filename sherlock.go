@@ -505,14 +505,7 @@ func (c *Compiled) InputNames() []string {
 
 // OutputNames returns the kernel's output names in readout order: row o of
 // a RunBatchWords output block carries the o-th name.
-func (c *Compiled) OutputNames() []string {
-	outs := c.Graph.Outputs()
-	names := make([]string, len(outs))
-	for i, o := range outs {
-		names[i] = c.Graph.OutputName(o)
-	}
-	return names
-}
+func (c *Compiled) OutputNames() []string { return c.Graph.OutputNames() }
 
 // stream returns the Compiled's chunked executor: the program decodes and
 // the stream is built once, on first use.
@@ -543,7 +536,7 @@ func (c *Compiled) inputNames() []string {
 func (c *Compiled) outputs() ([]string, []Place, error) {
 	c.outOnce.Do(func() {
 		outs := c.Graph.Outputs()
-		c.outNames = make([]string, len(outs))
+		c.outNames = c.Graph.OutputNames()
 		c.outPlaces = make([]Place, len(outs))
 		for i, out := range outs {
 			p, err := c.result.OutputPlace(out)
@@ -551,7 +544,6 @@ func (c *Compiled) outputs() ([]string, []Place, error) {
 				c.outErr = err
 				return
 			}
-			c.outNames[i] = c.Graph.OutputName(out)
 			c.outPlaces[i] = p
 		}
 	})
