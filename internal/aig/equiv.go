@@ -1,8 +1,8 @@
 package aig
 
 import (
-	"encoding/binary"
 	"math/rand"
+	"slices"
 )
 
 // Combinational equivalence checking over pairs of literals in one shared
@@ -15,7 +15,7 @@ import (
 //                on the same literal. An op-for-op-faithful mapper program
 //                proves this way, in O(instructions) nodes and O(1) per
 //                output.
-//  2. cosim    — 64·SimWords random vectors simulated over the whole graph
+//  2. cosim    — 64·simWords random vectors simulated over the whole graph
 //                once; any differing lane refutes equivalence and yields a
 //                concrete counterexample assignment.
 //  3. rebuild  — cosim-indistinguishable pairs are re-expressed in a fresh
@@ -32,6 +32,17 @@ import (
 // Anything surviving all four is VerdictUnproven — never silently accepted;
 // callers fall back to dynamic checking (coopt keeps its equivalence fuzz as
 // exactly that backstop).
+//
+// Every exhaustive check (sweep merge or final table) enumerates in one
+// linear pass: the AND nodes of both cones are collected once and sorted by
+// node index — rebuild nodes are created children-first, so that order is
+// topological — and each 64-assignment batch writes the support words into
+// a dense per-node word slice and evaluates the cone front to back.
+//
+// Only MaxSupport is a caller-settable budget. The cosimulation width
+// (simWords), its seed (simSeed) and the AC-flattening cap (flatCap) are
+// fixed: no caller tunes them, and the sweep's signature classes are keyed
+// by the fixed-width simulation word array.
 
 // Verdict is the outcome of one equivalence query.
 type Verdict uint8
@@ -62,31 +73,24 @@ type EquivOptions struct {
 	// the final per-pair miter. Default 16 (64Ki assignments, batched 64 per
 	// word).
 	MaxSupport int
-	// SimWords is the number of 64-lane random words cosimulated per input.
-	// Default 8 (512 vectors).
-	SimWords int
-	// FlatCap caps the leaf count of one flattened AND/XOR tree during AC
-	// normalization; larger trees flatten partially. Default 256.
-	FlatCap int
-	// Seed drives the cosimulation vectors. Default 1.
-	Seed int64
 }
 
 func (o EquivOptions) withDefaults() EquivOptions {
 	if o.MaxSupport <= 0 {
 		o.MaxSupport = 16
 	}
-	if o.SimWords <= 0 {
-		o.SimWords = 8
-	}
-	if o.FlatCap <= 0 {
-		o.FlatCap = 256
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
 	return o
 }
+
+// Fixed prover budgets.
+const (
+	simWords = 8   // 64-lane random words cosimulated per input (512 vectors)
+	simSeed  = 1   // seed of the cosimulation vectors
+	flatCap  = 256 // leaf cap of one flattened AND/XOR tree in AC normalization
+)
+
+// signature is a rebuild node's simulation words, the sweep's class key.
+type signature [simWords]uint64
 
 // PairVerdict is the result for one (a, b) literal pair.
 type PairVerdict struct {
@@ -162,25 +166,33 @@ type prover struct {
 	g   *Graph
 	opt EquivOptions
 
-	simG []uint64 // R words per source node, input-seeded random cosim
+	simG []uint64 // simWords words per source node, input-seeded random cosim
 
 	h      *Graph   // normalized rebuild target
-	simH   []uint64 // R words per rebuild node, same input seeds as simG
+	simH   []uint64 // simWords words per rebuild node, same input seeds as simG
 	supH   [][]int32
 	supBig []bool
 	alias  []Lit // rebuild node -> representative literal (sweep merges)
-	class  map[string][]uint32
+	class  map[signature][]uint32
 	repr   []Lit // source node -> rebuild literal
 
 	andFlat [][]Lit    // source node -> flattened AND leaf list (G literals)
 	xorFlat [][]uint32 // source node -> flattened XOR leaf nodes (positive)
 	xorPar  []bool     // parity stripped while flattening xorFlat
 
+	// exhaust scratch, reused across checks: per-rebuild-node visit epochs
+	// and batch words, and the sorted AND cone of the current check.
+	mark  []uint32
+	epoch uint32
+	word  []uint64
+	cone  []uint32
+	stack []uint32
+
 	merges, tables int
 }
 
 func newProver(g *Graph, opt EquivOptions) *prover {
-	return &prover{g: g, opt: opt, class: map[string][]uint32{}}
+	return &prover{g: g, opt: opt, class: map[signature][]uint32{}}
 }
 
 func (p *prover) stats() EquivStats {
@@ -191,12 +203,12 @@ func (p *prover) stats() EquivStats {
 	return st
 }
 
-// cosim fills simG: SimWords random 64-lane words per input, propagated
+// cosim fills simG: simWords random 64-lane words per input, propagated
 // through every node (nodes are stored in topological order by
 // construction, children always precede parents).
 func (p *prover) cosim() {
-	g, R := p.g, p.opt.SimWords
-	rng := rand.New(rand.NewSource(p.opt.Seed))
+	g, R := p.g, simWords
+	rng := rand.New(rand.NewSource(simSeed))
 	p.simG = make([]uint64, len(g.nodes)*R)
 	for i, nd := range g.nodes {
 		switch nd.kind {
@@ -222,7 +234,7 @@ func (p *prover) cosim() {
 }
 
 func (p *prover) simLitG(l Lit, r int) uint64 {
-	w := p.simG[int(l.node())*p.opt.SimWords+r]
+	w := p.simG[int(l.node())*simWords+r]
 	if l.complement() {
 		w = ^w
 	}
@@ -232,7 +244,7 @@ func (p *prover) simLitG(l Lit, r int) uint64 {
 // refute compares the cosim signatures of a and b; on a difference it
 // extracts the full input assignment of the first differing lane.
 func (p *prover) refute(a, b Lit) ([]bool, bool) {
-	for r := 0; r < p.opt.SimWords; r++ {
+	for r := 0; r < simWords; r++ {
 		if diff := p.simLitG(a, r) ^ p.simLitG(b, r); diff != 0 {
 			lane := 0
 			for diff&1 == 0 {
@@ -241,7 +253,7 @@ func (p *prover) refute(a, b Lit) ([]bool, bool) {
 			}
 			ctr := make([]bool, p.g.nInputs)
 			for i := 0; i < p.g.nInputs; i++ {
-				ctr[i] = p.simG[(1+i)*p.opt.SimWords+r]>>uint(lane)&1 == 1
+				ctr[i] = p.simG[(1+i)*simWords+r]>>uint(lane)&1 == 1
 			}
 			return ctr, true
 		}
@@ -252,11 +264,11 @@ func (p *prover) refute(a, b Lit) ([]bool, bool) {
 // --- normalized rebuild with sweeping -----------------------------------
 
 // rebuild re-expresses the cones of roots in a fresh graph p.h: AND/XOR
-// trees flatten into canonical sorted folds (FlatCap-bounded), and every
+// trees flatten into canonical sorted folds (flatCap-bounded), and every
 // created node is swept against simulation-signature classmates, merging
 // pairs whose equality an exhaustive check over their joint support proves.
 func (p *prover) rebuild(roots []Lit) {
-	g, R := p.g, p.opt.SimWords
+	g, R := p.g, simWords
 	p.h = New(g.nInputs)
 	p.alias = make([]Lit, 1+g.nInputs)
 	p.supH = make([][]int32, 1+g.nInputs)
@@ -315,7 +327,7 @@ func (p *prover) resolve(l Lit) Lit {
 	return p.alias[l.node()] ^ Lit(l&1)
 }
 
-// flattenAnd returns the FlatCap-bounded AND leaf list of source node n:
+// flattenAnd returns the flatCap-bounded AND leaf list of source node n:
 // non-complemented AND children that are not XOR encodings splice their own
 // leaf lists in. Lists are memoized per node, so each is assembled once.
 func (p *prover) flattenAnd(n uint32) []Lit {
@@ -331,7 +343,7 @@ func (p *prover) flattenAnd(n uint32) []Lit {
 				sub = p.flattenAnd(e.node())
 			}
 		}
-		if sub != nil && len(leaves)+len(sub) <= p.opt.FlatCap {
+		if sub != nil && len(leaves)+len(sub) <= flatCap {
 			leaves = append(leaves, sub...)
 		} else {
 			leaves = append(leaves, e)
@@ -358,7 +370,7 @@ func (p *prover) flattenXor(n uint32) ([]uint32, bool) {
 		if p.g.nodes[m].kind == kindAnd {
 			if _, _, isx := p.g.matchXor(m); isx {
 				sub, subPar := p.flattenXor(m)
-				if len(leaves)+len(sub) <= p.opt.FlatCap {
+				if len(leaves)+len(sub) <= flatCap {
 					leaves = append(leaves, sub...)
 					if subPar {
 						parity = !parity
@@ -376,12 +388,11 @@ func (p *prover) flattenXor(n uint32) ([]uint32, bool) {
 // foldAnd and foldXor are the rebuild-side canonical folds: the same
 // sorted-operand discipline as AndN/XorN, but every fold step is swept as
 // its node is created, so partial folds converge onto already-proven
-// representatives before the next operand lands.
+// representatives before the next operand lands. Both sort lits in place.
 func (p *prover) foldAnd(lits []Lit) Lit {
-	s := append(make([]Lit, 0, len(lits)), lits...)
-	sortLits(s)
+	slices.Sort(lits)
 	v := Const1
-	for _, l := range s {
+	for _, l := range lits {
 		v = p.sweepNew(p.h.And(v, l))
 	}
 	return v
@@ -400,7 +411,7 @@ func (p *prover) foldXor(lits []Lit) Lit {
 		}
 		s = append(s, l)
 	}
-	sortLits(s)
+	slices.Sort(s)
 	v := Const0
 	for i := 0; i < len(s); i++ {
 		if i+1 < len(s) && s[i+1] == s[i] {
@@ -415,21 +426,13 @@ func (p *prover) foldXor(lits []Lit) Lit {
 	return v
 }
 
-func sortLits(s []Lit) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
 // sweepNew brings the prover's per-node state (simulation, support, alias,
 // class index) up to date with nodes the last fold step created, attempting
 // a sweep merge for each, and returns l with its alias applied. Simulation
 // and support derive from the node's actual children — never their aliases
-// — so they stay consistent with the cone evalWord walks.
+// — so they stay consistent with the cones exhaust evaluates.
 func (p *prover) sweepNew(l Lit) Lit {
-	R := p.opt.SimWords
+	R := simWords
 	for n := len(p.alias); n < len(p.h.nodes); n++ {
 		nd := p.h.nodes[n]
 		an, bn := int(nd.a.node()), int(nd.b.node())
@@ -445,7 +448,7 @@ func (p *prover) sweepNew(l Lit) Lit {
 			}
 			p.simH[base+r] = wa & wb
 		}
-		p.supH = append(p.supH, p.unionSupport(an, bn))
+		p.supH = append(p.supH, p.unionSupport(nd.a.node(), nd.b.node()))
 		p.supBig = append(p.supBig, p.supH[n] == nil)
 		p.alias = append(p.alias, Lit(uint32(n)<<1))
 		if m, phase, ok := p.findEqual(uint32(n)); ok {
@@ -460,7 +463,7 @@ func (p *prover) sweepNew(l Lit) Lit {
 
 // unionSupport merges the capped structural supports of two rebuild nodes;
 // nil means the union exceeds MaxSupport.
-func (p *prover) unionSupport(a, b int) []int32 {
+func (p *prover) unionSupport(a, b uint32) []int32 {
 	if p.supBig[a] || p.supBig[b] {
 		return nil
 	}
@@ -486,24 +489,23 @@ func (p *prover) unionSupport(a, b int) []int32 {
 	return out
 }
 
+// phase is a rebuild node's simulation bit in lane 0 of word 0.
+func (p *prover) phase(n uint32) Lit {
+	return Lit(p.simH[int(n)*simWords] & 1)
+}
+
 // classKey canonicalizes a rebuild node's simulation signature: the phase
-// bit (lane 0 of word 0) is normalized out so a node and its complement land
-// in the same class.
-func (p *prover) classKey(n uint32) (string, Lit) {
-	R := p.opt.SimWords
-	var phase Lit
-	if p.simH[int(n)*R]&1 == 1 {
-		phase = 1
-	}
-	buf := make([]byte, 8*R)
-	for r := 0; r < R; r++ {
-		w := p.simH[int(n)*R+r]
-		if phase == 1 {
-			w = ^w
+// is normalized out so a node and its complement land in the same class.
+func (p *prover) classKey(n uint32) (signature, Lit) {
+	phase := p.phase(n)
+	var key signature
+	copy(key[:], p.simH[int(n)*simWords:])
+	if phase == 1 {
+		for r := range key {
+			key[r] = ^key[r]
 		}
-		binary.LittleEndian.PutUint64(buf[8*r:], w)
 	}
-	return string(buf), phase
+	return key, phase
 }
 
 func (p *prover) enroll(n uint32) {
@@ -532,9 +534,8 @@ func (p *prover) findEqual(n uint32) (uint32, Lit, bool) {
 		if p.supBig[m] {
 			continue
 		}
-		_, mPhase := p.classKey(m)
-		rel := phase ^ mPhase // n == m ^ rel if equal at all
-		sup := p.jointSupport(n, m)
+		rel := phase ^ p.phase(m) // n == m ^ rel if equal at all
+		sup := p.unionSupport(n, m)
 		if sup == nil {
 			continue
 		}
@@ -545,34 +546,37 @@ func (p *prover) findEqual(n uint32) (uint32, Lit, bool) {
 	return 0, 0, false
 }
 
-func (p *prover) jointSupport(a, b uint32) []int32 {
-	return p.unionSupport(int(a), int(b))
-}
-
-// exhaust checks fa == fb over every assignment of the support variables
-// (other inputs pinned to 0 — they are outside both cones' support). It
-// returns nil when equal, or the first differing assignment as a full
-// primary-input vector.
+// exhaust checks fa == fb over every assignment of the support variables.
+// It returns nil when equal, or the first differing assignment as a full
+// primary-input vector (inputs outside sup are 0; sup covers the structural
+// support of both sides, so no cone reaches them).
 func (p *prover) exhaust(fa, fb Lit, sup []int32) []bool {
-	k := uint(len(sup))
-	total := uint64(1) << k
-	vals := map[uint32]uint64{}
-	inputW := make([]uint64, len(sup))
+	cone := p.coneAnds(fa.node(), fb.node())
+	w := p.word
+	total := uint64(1) << uint(len(sup))
 	for base := uint64(0); base < total; base += 64 {
-		for j := range sup {
+		for j, v := range sup {
 			switch {
 			case j < 6:
-				inputW[j] = varPattern[j]
+				w[1+v] = varPattern[j]
 			case base>>uint(j)&1 == 1:
-				inputW[j] = ^uint64(0)
+				w[1+v] = ^uint64(0)
 			default:
-				inputW[j] = 0
+				w[1+v] = 0
 			}
 		}
-		clear(vals)
-		wa := p.evalWord(fa, sup, inputW, vals)
-		wb := p.evalWord(fb, sup, inputW, vals)
-		if diff := wa ^ wb; diff != 0 {
+		for _, n := range cone {
+			nd := &p.h.nodes[n]
+			wa, wb := w[nd.a.node()], w[nd.b.node()]
+			if nd.a.complement() {
+				wa = ^wa
+			}
+			if nd.b.complement() {
+				wb = ^wb
+			}
+			w[n] = wa & wb
+		}
+		if diff := litWord(w, fa) ^ litWord(w, fb); diff != 0 {
 			lane := uint64(0)
 			for diff&1 == 0 {
 				diff >>= 1
@@ -589,6 +593,37 @@ func (p *prover) exhaust(fa, fb Lit, sup []int32) []bool {
 	return nil
 }
 
+// litWord reads literal l's batch word out of the per-node words w.
+func litWord(w []uint64, l Lit) uint64 {
+	return w[l.node()] ^ -uint64(l&1)
+}
+
+// coneAnds returns the AND nodes of the rebuild cones of a and b in
+// ascending node order, which is topological. The scratch slices grow with
+// p.h; word[0], the constant, is never written and stays 0.
+func (p *prover) coneAnds(a, b uint32) []uint32 {
+	if grow := len(p.h.nodes) - len(p.mark); grow > 0 {
+		p.mark = append(p.mark, make([]uint32, grow)...)
+		p.word = append(p.word, make([]uint64, grow)...)
+	}
+	p.epoch++
+	cone, stack := p.cone[:0], append(p.stack[:0], a, b)
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		nd := &p.h.nodes[n]
+		if nd.kind != kindAnd || p.mark[n] == p.epoch {
+			continue
+		}
+		p.mark[n] = p.epoch
+		cone = append(cone, n)
+		stack = append(stack, nd.a.node(), nd.b.node())
+	}
+	slices.Sort(cone)
+	p.cone, p.stack = cone, stack
+	return cone
+}
+
 // varPattern[j] is the canonical 64-lane enumeration pattern of support
 // variable j < 6: lane t carries bit j of assignment t.
 var varPattern = [6]uint64{
@@ -600,50 +635,10 @@ var varPattern = [6]uint64{
 	0xFFFFFFFF00000000,
 }
 
-// evalWord evaluates a rebuild literal on one 64-assignment word batch:
-// support variable j takes inputW[j], every other input is 0.
-func (p *prover) evalWord(l Lit, sup []int32, inputW []uint64, vals map[uint32]uint64) uint64 {
-	var rec func(n uint32) uint64
-	rec = func(n uint32) uint64 {
-		if w, ok := vals[n]; ok {
-			return w
-		}
-		nd := p.h.nodes[n]
-		var w uint64
-		switch nd.kind {
-		case kindConst:
-			w = 0
-		case kindInput:
-			for j, v := range sup {
-				if int(v) == nd.input {
-					w = inputW[j]
-					break
-				}
-			}
-		case kindAnd:
-			wa, wb := rec(nd.a.node()), rec(nd.b.node())
-			if nd.a.complement() {
-				wa = ^wa
-			}
-			if nd.b.complement() {
-				wb = ^wb
-			}
-			w = wa & wb
-		}
-		vals[n] = w
-		return w
-	}
-	w := rec(l.node())
-	if l.complement() {
-		w = ^w
-	}
-	return w
-}
-
 // table is the final decision procedure for one pair: exhaustive miter over
 // the joint support when it fits MaxSupport, otherwise unproven.
 func (p *prover) table(ra, rb Lit) PairVerdict {
-	sup := p.jointSupport(ra.node(), rb.node())
+	sup := p.unionSupport(ra.node(), rb.node())
 	if sup == nil {
 		return PairVerdict{Verdict: VerdictUnproven, Method: "unproven"}
 	}

@@ -3,6 +3,8 @@ package aig
 import (
 	"math/rand"
 	"testing"
+
+	"sherlock/internal/workloads/sobel"
 )
 
 func TestNaryCanonicalOrder(t *testing.T) {
@@ -119,13 +121,10 @@ func TestCheckOutputsTableRefutes(t *testing.T) {
 		all[i] = g.Input(i)
 	}
 	wide := g.AndN(all)
-	vs, st := CheckOutputs(g, []Lit{wide}, []Lit{Const0}, EquivOptions{SimWords: 1})
+	vs, st := CheckOutputs(g, []Lit{wide}, []Lit{Const0}, EquivOptions{})
 	v := vs[0]
 	if v.Verdict != VerdictRefuted {
 		t.Fatalf("wide AND vs const not refuted: %+v", v)
-	}
-	if v.Method == "cosim" {
-		t.Skipf("random cosim already separated the pair under this seed")
 	}
 	if v.Method != "table" {
 		t.Fatalf("refuted via %s, want table", v.Method)
@@ -174,24 +173,27 @@ func graft(dst, src *Graph, outs []Lit) []Lit {
 	return res
 }
 
+// resynthPasses are the resynthesis passes whose candidates the coopt gate
+// discharges through CheckOutputs.
+var resynthPasses = []struct {
+	name  string
+	apply func(*Graph, []Lit) (*Graph, []Lit)
+}{
+	{"balance", func(g *Graph, outs []Lit) (*Graph, []Lit) { return Balance(g, outs) }},
+	{"rewrite", func(g *Graph, outs []Lit) (*Graph, []Lit) {
+		g2, o2, _ := Rewrite(g, outs)
+		return g2, o2
+	}},
+	{"refactor", func(g *Graph, outs []Lit) (*Graph, []Lit) {
+		g2, o2, _ := Refactor(g, outs)
+		return g2, o2
+	}},
+}
+
 // The prover must accept every shape the resynthesis passes generate — the
 // exact candidates the coopt gate now discharges statically.
 func TestCheckOutputsProvesResynthesisShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	passes := []struct {
-		name  string
-		apply func(*Graph, []Lit) (*Graph, []Lit)
-	}{
-		{"balance", func(g *Graph, outs []Lit) (*Graph, []Lit) { return Balance(g, outs) }},
-		{"rewrite", func(g *Graph, outs []Lit) (*Graph, []Lit) {
-			g2, o2, _ := Rewrite(g, outs)
-			return g2, o2
-		}},
-		{"refactor", func(g *Graph, outs []Lit) (*Graph, []Lit) {
-			g2, o2, _ := Refactor(g, outs)
-			return g2, o2
-		}},
-	}
 	for trial := 0; trial < 12; trial++ {
 		n := 4 + rng.Intn(4)
 		g := New(n)
@@ -207,7 +209,7 @@ func TestCheckOutputsProvesResynthesisShapes(t *testing.T) {
 			}
 		}
 		outs := []Lit{lits[len(lits)-1], lits[len(lits)-2] ^ 1, lits[len(lits)-3]}
-		for _, pass := range passes {
+		for _, pass := range resynthPasses {
 			g2, outs2 := pass.apply(g, outs)
 			grafted := graft(g, g2, outs2)
 			vs, _ := CheckOutputs(g, outs, grafted, EquivOptions{})
@@ -216,6 +218,46 @@ func TestCheckOutputsProvesResynthesisShapes(t *testing.T) {
 					t.Fatalf("trial %d pass %s output %d: %v via %s, want proven",
 						trial, pass.name, i, v.Verdict, v.Method)
 				}
+			}
+		}
+	}
+}
+
+// TestCheckOutputsPinsResynthCandidates pins the prover's decisions on the
+// quick-scale Sobel tile: each resynthesis candidate, grafted next to the
+// lifted kernel, must settle by the same methods with the same work stats.
+// A change to the prover's internals that moves any of these numbers
+// changes which candidates the coopt gate proves and which it backstops.
+func TestCheckOutputsPinsResynthCandidates(t *testing.T) {
+	kernel, err := sobel.Build(sobel.Config{TileW: 2, TileH: 2, PixelBits: 8, Threshold: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]struct {
+		stats  EquivStats
+		method string
+	}{
+		"balance":  {EquivStats{RebuiltNodes: 6134, Merges: 48}, "rebuild"},
+		"rewrite":  {EquivStats{RebuiltNodes: 7082, Merges: 48}, "unproven"},
+		"refactor": {EquivStats{RebuiltNodes: 6254, Merges: 48}, "unproven"},
+	}
+	for _, pass := range resynthPasses {
+		c, err := LiftDFG(kernel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g2, outs2 := pass.apply(c.G, c.Outs)
+		vs, st := CheckOutputs(c.G, c.Outs, graft(c.G, g2, outs2), EquivOptions{})
+		w := want[pass.name]
+		if st != w.stats {
+			t.Errorf("%s: stats %+v, want %+v", pass.name, st, w.stats)
+		}
+		if len(vs) != 4 {
+			t.Fatalf("%s: %d verdicts, want 4", pass.name, len(vs))
+		}
+		for i, v := range vs {
+			if v.Method != w.method {
+				t.Errorf("%s output %d: %v via %s, want via %s", pass.name, i, v.Verdict, v.Method, w.method)
 			}
 		}
 	}

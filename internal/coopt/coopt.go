@@ -93,33 +93,26 @@ func PortfolioBalance() [][]PassKind {
 // run the mapper; Score prices a finished mapping.
 type Config struct {
 	Iterations int // candidate-generation rounds (default 4)
-	Patience   int // stop after this many rounds without global improvement (default 2)
-	FuzzWords  int // 64-lane random vectors per equivalence fuzz (default 8)
-	Seed       int64
 	Workers    int // pool fan-out; <=0 selects GOMAXPROCS
 	MaxRows    int // verify gate: device row-activation limit (0 = unchecked)
 
-	Weights   Weights
 	Portfolio [][]PassKind // nil selects DefaultPortfolio
 
 	Evaluate func(*dfg.Graph) (*mapping.Result, error)
 	Score    func(*mapping.Result) (Score, error)
 }
 
+// Fixed search budgets. Candidates are ranked by the default Weights.
+const (
+	patience  = 2 // stop after this many rounds without global improvement
+	fuzzWords = 8 // 64-lane random vectors per backstop equivalence fuzz
+	fuzzSeed  = 1 // seed of the backstop fuzz vectors
+)
+
 func (c Config) withDefaults() Config {
 	if c.Iterations <= 0 {
 		c.Iterations = 4
 	}
-	if c.Patience <= 0 {
-		c.Patience = 2
-	}
-	if c.FuzzWords <= 0 {
-		c.FuzzWords = 8
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	c.Weights = c.Weights.withDefaults()
 	if c.Portfolio == nil {
 		c.Portfolio = DefaultPortfolio()
 	}
@@ -234,7 +227,7 @@ func Optimize(g *dfg.Graph, cfg Config) (*Result, error) {
 				return nil, rep.Err()
 			default:
 				backstops.Add(1)
-				if err := FuzzEquivalence(g, lowered, cfg.FuzzWords, cfg.Seed); err != nil {
+				if err := FuzzEquivalence(g, lowered, fuzzWords, fuzzSeed); err != nil {
 					return nil, err
 				}
 			}
@@ -253,7 +246,7 @@ func Optimize(g *dfg.Graph, cfg Config) (*Result, error) {
 		cur      = orig
 		stalls   = 0
 	)
-	for it := 1; it <= cfg.Iterations && stalls < cfg.Patience; it++ {
+	for it := 1; it <= cfg.Iterations && stalls < patience; it++ {
 		seqs := cfg.Portfolio
 		cones := make([]*aig.Cone, len(seqs))
 		outs := make([]*evalOut, len(seqs))
@@ -272,7 +265,7 @@ func Optimize(g *dfg.Graph, cfg Config) (*Result, error) {
 				ist.Rejected++
 				continue
 			}
-			obj := cfg.Weights.Objective(outs[i].score, baseScore)
+			obj := Weights{}.Objective(outs[i].score, baseScore)
 			if roundIdx < 0 || obj < roundObj {
 				roundIdx, roundObj = i, obj
 			}

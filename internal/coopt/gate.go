@@ -46,9 +46,6 @@ func ProveMapped(res *mapping.Result, kernel *dfg.Graph) (*verify.EquivReport, e
 // and output name sets) and every output must match on `rounds` random
 // 64-lane word vectors. Deterministic for a given seed.
 func FuzzEquivalence(ref, cand *dfg.Graph, rounds int, seed int64) error {
-	if rounds <= 0 {
-		rounds = 8
-	}
 	refIn, candIn := ref.InputNames(), cand.InputNames()
 	if err := sameNameSet("input", refIn, candIn); err != nil {
 		return err

@@ -50,8 +50,13 @@ type ResynthRow struct {
 	AndsBefore   int // lifted AIG size (0 for the baseline row)
 	AndsAfter    int
 	Evaluations  int
-	Improved     bool
-	Speedup      float64 // baseline latency / this latency
+	// Proved candidates were statically proven equivalent to the kernel;
+	// FuzzBackstops exhausted the proof budget and were admitted by the
+	// random-vector equivalence fuzz instead.
+	Proved        int
+	FuzzBackstops int
+	Improved      bool
+	Speedup       float64 // baseline latency / this latency
 }
 
 // ResynthWorkloads are the kernels the co-optimization ablation sweeps:
@@ -115,15 +120,17 @@ func Resynth(r *Runner, tech device.Technology, arraySize int) ([]ResynthRow, er
 				return nil, err
 			}
 			row := ResynthRow{
-				Workload:     w,
-				Variant:      v,
-				LatencyUS:    cost.LatencyUS(),
-				EnergyUJ:     cost.EnergyUJ(),
-				Instructions: res.Stats.Instructions,
-				AndsBefore:   stats.AndsBefore,
-				AndsAfter:    stats.AndsAfter,
-				Evaluations:  stats.Evaluations,
-				Improved:     stats.Improved,
+				Workload:      w,
+				Variant:       v,
+				LatencyUS:     cost.LatencyUS(),
+				EnergyUJ:      cost.EnergyUJ(),
+				Instructions:  res.Stats.Instructions,
+				AndsBefore:    stats.AndsBefore,
+				AndsAfter:     stats.AndsAfter,
+				Evaluations:   stats.Evaluations,
+				Proved:        stats.Proved,
+				FuzzBackstops: stats.FuzzBackstops,
+				Improved:      stats.Improved,
 			}
 			if v == ResynthOff {
 				baseLatency = row.LatencyUS
@@ -141,16 +148,16 @@ func Resynth(r *Runner, tech device.Technology, arraySize int) ([]ResynthRow, er
 func RenderResynth(rows []ResynthRow) string {
 	var sb strings.Builder
 	sb.WriteString("Resynthesis ablation: Algorithm 2 alone vs synthesis<->scheduling co-optimization\n")
-	sb.WriteString(fmt.Sprintf("%-10s %-9s %12s %11s %7s %7s %7s %9s\n",
-		"workload", "variant", "latency_us", "energy_uJ", "instrs", "ANDs", "evals", "speedup"))
+	sb.WriteString(fmt.Sprintf("%-10s %-9s %12s %11s %7s %7s %7s %7s %8s %9s\n",
+		"workload", "variant", "latency_us", "energy_uJ", "instrs", "ANDs", "evals", "proved", "backstop", "speedup"))
 	for _, r := range rows {
 		ands := "-"
 		if r.Variant != ResynthOff {
 			ands = fmt.Sprintf("%d", r.AndsAfter)
 		}
-		sb.WriteString(fmt.Sprintf("%-10v %-9v %12.2f %11.3f %7d %7s %7d %8.3fx\n",
+		sb.WriteString(fmt.Sprintf("%-10v %-9v %12.2f %11.3f %7d %7s %7d %7d %8d %8.3fx\n",
 			r.Workload, r.Variant, r.LatencyUS, r.EnergyUJ, r.Instructions,
-			ands, r.Evaluations, r.Speedup))
+			ands, r.Evaluations, r.Proved, r.FuzzBackstops, r.Speedup))
 	}
 	return sb.String()
 }

@@ -46,11 +46,15 @@ func TestResynthAblationShape(t *testing.T) {
 				if row.Speedup < 1 {
 					t.Fatalf("%v %v speedup %.3f < 1", w, v, row.Speedup)
 				}
+				if row.Proved+row.FuzzBackstops > row.Evaluations {
+					t.Fatalf("%v %v: %d proved + %d backstopped exceed %d evaluations",
+						w, v, row.Proved, row.FuzzBackstops, row.Evaluations)
+				}
 			}
 		}
 	}
 	table := RenderResynth(rows)
-	for _, want := range []string{"workload", "baseline", "balance", "full", "speedup"} {
+	for _, want := range []string{"workload", "baseline", "balance", "full", "proved", "backstop", "speedup"} {
 		if !strings.Contains(table, want) {
 			t.Fatalf("rendered table missing %q:\n%s", want, table)
 		}

@@ -50,9 +50,7 @@ type OutputAt struct {
 // EquivOptions bounds the equivalence decision procedures (see
 // aig.EquivOptions; zero values select the defaults there).
 type EquivOptions struct {
-	MaxSupport int   // exhaustive-proof joint-support cap (default 16)
-	SimWords   int   // 64-lane cosimulation words (default 8)
-	Seed       int64 // cosimulation seed (default 1)
+	MaxSupport int // exhaustive-proof joint-support cap (default 16)
 }
 
 // Mismatch is a concrete refutation of program/kernel equivalence: an input
@@ -249,11 +247,7 @@ func EquivalentOpts(p isa.Program, t layout.Target, kernel *dfg.Graph, outs []Ou
 		}
 	}
 
-	verdicts, stats := aig.CheckOutputs(cone.G, progLits, kernLits, aig.EquivOptions{
-		MaxSupport: opt.MaxSupport,
-		SimWords:   opt.SimWords,
-		Seed:       opt.Seed,
-	})
+	verdicts, stats := aig.CheckOutputs(cone.G, progLits, kernLits, aig.EquivOptions{MaxSupport: opt.MaxSupport})
 	rep := &EquivReport{Nodes: cone.G.NumAnds(), Stats: stats}
 	for i, v := range verdicts {
 		oe := OutputEquiv{Name: names[i], Verdict: v.Verdict, Method: v.Method}
