@@ -11,12 +11,10 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 
 	"sherlock/internal/logic"
-	"sherlock/internal/readyq"
 )
 
 // NodeID identifies a node within one Graph.
@@ -81,15 +79,12 @@ type Graph struct {
 	// explicit name.
 	maxT NodeID
 
-	// Scheduling-order cache: b-levels and the priority order are needed
-	// several times per compile (clustering, code generation) but only
-	// change when nodes are added. Guarded by mu so concurrent campaign
-	// workers can share one graph.
-	mu          sync.Mutex
-	blCache     []int32  // b-level per node (op entries only), nil when stale
-	maxBL       int32    // maximum b-level, valid when blCache is
-	prioCache   []NodeID // ops in ready-release priority order, nil when stale
-	sortedCache []NodeID // legacy pre-sorted order, built on demand
+	// B-level cache: b-levels are needed several times per compile
+	// (clustering, code generation) but only change when nodes are added.
+	// Guarded by mu so concurrent campaign workers can share one graph.
+	mu      sync.Mutex
+	blCache []int32 // b-level per node (op entries only), nil when stale
+	maxBL   int32   // maximum b-level, valid when blCache is
 }
 
 // New returns an empty graph.
@@ -99,7 +94,7 @@ func New() *Graph {
 
 func (g *Graph) addNode(n node) NodeID {
 	g.mu.Lock()
-	g.blCache, g.prioCache, g.sortedCache = nil, nil, nil
+	g.blCache = nil
 	g.mu.Unlock()
 	g.nodes = append(g.nodes, n)
 	g.opInputs = append(g.opInputs, nil)
@@ -477,21 +472,12 @@ func (g *Graph) OpSuccs(op NodeID) []NodeID {
 // references pre-existing operands, creation order is already topological.
 func (g *Graph) TopoOps() []NodeID { return g.OpNodes() }
 
-// ensureOrder computes and caches the b-levels and the priority order.
+// ensureBLevels computes and caches the b-levels and their maximum.
 // Callers must hold g.mu. The b-level recurrence maximizes over an op's
 // consumers directly (duplicate consumers cannot change a maximum), so no
-// per-op successor set is materialized.
-//
-// The priority order is produced by an event-driven ready-queue traversal
-// instead of pre-sorting all nodes: an op is released into a bitmap bucket
-// queue (internal/readyq, keyed by descending b-level) the moment its last
-// predecessor retires, and retiring the queue head releases its dependents
-// in O(1). The pop sequence is still globally non-increasing in b-level —
-// when the head has b-level b, every unprocessed op with a higher b-level
-// would already be ready and queued ahead of it — but ties within one
-// b-level come out in ready-release (wake-up) order rather than by node ID,
-// and the O(n log n) sort is gone.
-func (g *Graph) ensureOrder() {
+// per-op successor set is materialized. The scheduling order itself is
+// streamed by ReadyWalker.
+func (g *Graph) ensureBLevels() {
 	if g.blCache != nil {
 		return
 	}
@@ -511,135 +497,17 @@ func (g *Graph) ensureOrder() {
 			maxBL = bl[op]
 		}
 	}
-
-	order := make([]NodeID, 0, len(ops))
-	pending := make([]int32, len(g.nodes))
-	q := readyq.Get(len(g.nodes), int(maxBL)+1)
-	for _, op := range ops { // creation order seeds the queue deterministically
-		n := int32(0)
-		for _, in := range g.opInputs[op] {
-			if g.producer[in] != NoNode {
-				n++
-			}
-		}
-		pending[op] = n
-		if n == 0 {
-			q.Push(int32(op), maxBL-bl[op])
-		}
-	}
-	for {
-		it, _, ok := q.PopMin()
-		if !ok {
-			break
-		}
-		op := NodeID(it)
-		order = append(order, op)
-		for _, c := range g.consumers[g.opOutput[op]] { // retire: wake dependents
-			pending[c]--
-			if pending[c] == 0 {
-				q.Push(int32(c), maxBL-bl[c])
-			}
-		}
-	}
-	readyq.Put(q)
-	if len(order) != len(ops) {
-		panic("dfg: ready traversal did not reach every op (graph not acyclic?)")
-	}
-	g.blCache, g.maxBL, g.prioCache = bl, maxBL, order
+	g.blCache, g.maxBL = bl, maxBL
 }
 
-// BLevels computes the b-level (longest path to any sink, counting op nodes
-// as weight 1) of every op node. The result is cached on the graph; the
-// returned map is a fresh copy the caller may mutate.
-func (g *Graph) BLevels() map[NodeID]int {
-	g.mu.Lock()
-	g.ensureOrder()
-	bl := g.blCache
-	prio := g.prioCache
-	g.mu.Unlock()
-	out := make(map[NodeID]int, len(prio))
-	for _, op := range prio {
-		out[op] = int(bl[op])
-	}
-	return out
-}
-
-// BLevelsDense returns the b-levels as a flat slice indexed by NodeID
-// (entries for operand nodes are zero). The caller owns the returned copy;
-// the mapper indexes it directly in its scoring loop instead of hashing
-// NodeIDs.
+// BLevelsDense returns the b-levels (longest path to any sink, counting op
+// nodes as weight 1) as a flat slice indexed by NodeID (entries for operand
+// nodes are zero). The caller owns the returned copy; the mapper indexes
+// it directly in its scoring loop instead of hashing NodeIDs.
 func (g *Graph) BLevelsDense() []int32 {
 	g.mu.Lock()
-	g.ensureOrder()
+	g.ensureBLevels()
 	out := append([]int32(nil), g.blCache...)
-	g.mu.Unlock()
-	return out
-}
-
-// BLevel returns the b-level of one op node from the cached order — the
-// allocation-free lookup the mapper's scoring loop uses.
-func (g *Graph) BLevel(op NodeID) int {
-	if !g.isOp(op) {
-		panic(fmt.Sprintf("dfg: BLevel of non-op node %d", op))
-	}
-	g.mu.Lock()
-	g.ensureOrder()
-	v := g.blCache[op]
-	g.mu.Unlock()
-	return int(v)
-}
-
-// TLevels computes the t-level (longest path from any source, exclusive of
-// the node itself) of every op node.
-func (g *Graph) TLevels() map[NodeID]int {
-	tl := make([]int, len(g.nodes))
-	out := make(map[NodeID]int, g.numOps)
-	for _, op := range g.TopoOps() {
-		best := 0
-		for _, in := range g.opInputs[op] {
-			if p := g.producer[in]; p != NoNode && tl[p]+1 > best {
-				best = tl[p] + 1
-			}
-		}
-		tl[op] = best
-		out[op] = best
-	}
-	return out
-}
-
-// OpsByPriority returns op nodes in descending b-level order — the node
-// queue nq used by both Algorithm 1 and Algorithm 2. The order comes from
-// the event-driven ready-queue traversal (see ensureOrder): b-levels are
-// globally non-increasing, and ties within one b-level appear in
-// deterministic ready-release order. The order is cached on the graph; the
-// returned slice is a fresh copy the caller may mutate.
-func (g *Graph) OpsByPriority() []NodeID {
-	g.mu.Lock()
-	g.ensureOrder()
-	out := append([]NodeID(nil), g.prioCache...)
-	g.mu.Unlock()
-	return out
-}
-
-// OpsByPrioritySorted returns the historical node queue: op nodes sorted
-// by descending b-level with ties broken by ascending ID. It is retained
-// for the legacy level-scheduler path (mapping.Options.LegacyLevelScheduler)
-// and the differential tests that pit the ready-queue scheduler against it.
-func (g *Graph) OpsByPrioritySorted() []NodeID {
-	g.mu.Lock()
-	g.ensureOrder()
-	if g.sortedCache == nil {
-		bl := g.blCache
-		ops := g.OpNodes()
-		sort.SliceStable(ops, func(i, j int) bool {
-			if bl[ops[i]] != bl[ops[j]] {
-				return bl[ops[i]] > bl[ops[j]]
-			}
-			return ops[i] < ops[j]
-		})
-		g.sortedCache = ops
-	}
-	out := append([]NodeID(nil), g.sortedCache...)
 	g.mu.Unlock()
 	return out
 }
@@ -647,13 +515,8 @@ func (g *Graph) OpsByPrioritySorted() []NodeID {
 // CriticalPathLength returns the maximum b-level (0 for an empty graph).
 func (g *Graph) CriticalPathLength() int {
 	g.mu.Lock()
-	g.ensureOrder()
-	best := int32(0)
-	for _, op := range g.prioCache {
-		if g.blCache[op] > best {
-			best = g.blCache[op]
-		}
-	}
+	g.ensureBLevels()
+	best := g.maxBL
 	g.mu.Unlock()
 	return int(best)
 }

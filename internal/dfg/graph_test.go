@@ -130,11 +130,10 @@ func TestGraphSynthesizedNames(t *testing.T) {
 
 // TestGraphConcurrentReaders shares one graph between goroutines the way
 // campaign workers do: the first readers race to build the cached
-// scheduling order, every reader must see the order a private copy computes.
+// b-levels, every reader must see the b-levels a private copy computes.
 func TestGraphConcurrentReaders(t *testing.T) {
 	g := randomDAG(7, 16, 600)
 	ref := g.Clone()
-	wantPrio := ref.OpsByPriority()
 	wantBL := ref.BLevelsDense()
 
 	var wg sync.WaitGroup
@@ -143,8 +142,8 @@ func TestGraphConcurrentReaders(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if got := g.OpsByPriority(); !slices.Equal(got, wantPrio) {
-				errs <- fmt.Errorf("OpsByPriority differs")
+			if got := g.BLevelsDense(); !slices.Equal(got, wantBL) {
+				errs <- fmt.Errorf("BLevelsDense differs")
 				return
 			}
 			walker := g.NewReadyWalker()
@@ -155,12 +154,12 @@ func TestGraphConcurrentReaders(t *testing.T) {
 				errs <- fmt.Errorf("walker emitted %d of %d ops", walker.Emitted(), g.NumOps())
 				return
 			}
+			if got := g.CriticalPathLength(); got != ref.CriticalPathLength() {
+				errs <- fmt.Errorf("CriticalPathLength = %d, want %d", got, ref.CriticalPathLength())
+				return
+			}
 			var buf []NodeID
 			for _, op := range g.OpNodes() {
-				if g.BLevel(op) != int(wantBL[op]) {
-					errs <- fmt.Errorf("BLevel(%d) = %d, want %d", op, g.BLevel(op), wantBL[op])
-					return
-				}
 				out := g.OpOutput(op)
 				if g.Producer(out) != op || g.Name(out) != ref.Name(out) || g.Name(op) != ref.Name(op) {
 					errs <- fmt.Errorf("op %d: relations or names differ", op)

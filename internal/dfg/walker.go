@@ -10,11 +10,15 @@ import "sherlock/internal/readyq"
 // consumers become eligible no earlier than the window after its own —
 // dependence order is preserved by construction, whatever the window size.
 //
-// A window of 1 degenerates to the pure priority order of OpsByPriority
-// (retire-on-pop). Larger windows issue a whole wave of mutually
-// independent ops before any wake-ups from that wave are considered, which
-// is what lets structurally parallel clusters advance their row allocators
-// in lockstep without a global pre-sort.
+// A window of 1 degenerates to pure priority order (retire-on-pop), the
+// node queue nq of Algorithms 1 and 2: b-levels come out globally
+// non-increasing — when the head has b-level b, every unissued op with a
+// higher b-level would already be ready and queued ahead of it — and ties
+// within one b-level come out in deterministic ready-release (wake-up)
+// order. Larger windows issue a whole wave of mutually independent ops
+// before any wake-ups from that wave are considered, which is what lets
+// structurally parallel clusters advance their row allocators in lockstep
+// without a global pre-sort.
 //
 // The walker is single-use and not safe for concurrent use. Close releases
 // the pooled queue; it is safe to call once the walk is done or abandoned.
@@ -33,7 +37,7 @@ type ReadyWalker struct {
 // order.
 func (g *Graph) NewReadyWalker() *ReadyWalker {
 	g.mu.Lock()
-	g.ensureOrder()
+	g.ensureBLevels()
 	bl, maxBL := g.blCache, g.maxBL
 	g.mu.Unlock()
 

@@ -200,7 +200,7 @@ func findClusters(g *dfg.Graph, opt Options, maxSize, k int) ([][]dfg.NodeID, er
 		c.union = bitvec.New(c.numOperands)
 		c.unionLo, c.unionHi = int32(c.union.Words()), -1
 	}
-	if err := forEachOp(g, opt, c.assign); err != nil {
+	if err := forEachOp(g, c.assign); err != nil {
 		return nil, err
 	}
 	c.mergeClusters(k)

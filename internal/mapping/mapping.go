@@ -38,13 +38,6 @@ type Options struct {
 	// the most recently freed one, spreading programming cycles across
 	// cells (endurance; only meaningful with RecycleRows).
 	WearLeveling bool
-
-	// LegacyLevelScheduler selects the pre-PR-6 scheduling pipeline: ops
-	// consumed in the fully pre-sorted priority order (b-level desc, ID
-	// asc) and instructions merged under strict ASAP level barriers. Kept
-	// as an ablation knob and as the reference side of the differential
-	// scheduler tests.
-	LegacyLevelScheduler bool
 }
 
 // Eq. 1 weights of the cluster-assignment score: alpha scales the
@@ -63,23 +56,15 @@ const (
 const issueWindow = 64
 
 // forEachOp drives a mapper loop over the graph's ops in scheduling order:
-// event-driven ready dispatch in bounded issue windows by default, or the
-// legacy pre-sorted priority order under Options.LegacyLevelScheduler.
-func forEachOp(g *dfg.Graph, opt Options, fn func(op dfg.NodeID) error) error {
-	if opt.LegacyLevelScheduler {
-		for _, op := range g.OpsByPrioritySorted() {
-			if err := fn(op); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+// event-driven ready dispatch in bounded issue windows. A walk that drains
+// before issuing every op means the graph is not acyclic.
+func forEachOp(g *dfg.Graph, fn func(op dfg.NodeID) error) error {
 	w := g.NewReadyWalker()
 	defer w.Close()
 	for {
 		batch := w.Next(issueWindow)
 		if batch == nil {
-			return nil
+			break
 		}
 		for _, op := range batch {
 			if err := fn(op); err != nil {
@@ -87,6 +72,11 @@ func forEachOp(g *dfg.Graph, opt Options, fn func(op dfg.NodeID) error) error {
 			}
 		}
 	}
+	if w.Emitted() != g.NumOps() {
+		return fmt.Errorf("mapping: ready traversal issued %d of %d ops (graph not acyclic?)",
+			w.Emitted(), g.NumOps())
+	}
+	return nil
 }
 
 // Stats summarizes what a mapping run did.

@@ -20,7 +20,7 @@ func Naive(g *dfg.Graph, opt Options) (*Result, error) {
 	e := newEmitter(g, opt.Target, opt.RecycleRows, opt.WearLeveling)
 	cursor := &columnSeq{t: opt.Target}
 
-	err := forEachOp(g, opt, func(op dfg.NodeID) error {
+	err := forEachOp(g, func(op dfg.NodeID) error {
 		if err := naiveMapOp(e, op, cursor); err != nil {
 			return fmt.Errorf("mapping: naive, op %q: %w", g.Name(op), err)
 		}

@@ -46,7 +46,7 @@ func Optimized(g *dfg.Graph, opt Options) (*Result, error) {
 	// allocators in lockstep: the precondition for cross-cluster
 	// instruction merging.
 	e := newEmitter(g, t, opt.RecycleRows, opt.WearLeveling)
-	err = forEachOp(g, opt, func(op dfg.NodeID) error {
+	err = forEachOp(g, func(op dfg.NodeID) error {
 		col := colOf[op]
 		e.insBuf = g.AppendOpInputs(op, e.insBuf[:0])
 		ins := e.insBuf
@@ -80,7 +80,7 @@ func Optimized(g *dfg.Graph, opt Options) (*Result, error) {
 		return nil, err
 	}
 
-	merged, eliminated := mergeProgram(e.prog, opt)
+	merged, eliminated := MergeInstructions(e.prog)
 	if len(e.prog) > 0 { // merged never aliases a non-empty input
 		releaseProg(e.prog)
 		e.prog = nil

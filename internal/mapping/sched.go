@@ -36,12 +36,11 @@ import (
 //
 // provided the group's columns stay disjoint. Instructions whose slack does
 // not reach an existing group open a new one at their own ready time, so
-// every strict-level merge of the legacy scheduler still happens and
-// cross-level fusion only ever removes further instructions — the merged
-// program never exceeds the legacy count. Merged groups are dispatched
-// through a bitmap ready queue (internal/readyq) keyed by issue time; group
-// order within one time reproduces the lexicographic order of the
-// historical string keys.
+// every same-level merge still happens and cross-level fusion only ever
+// removes further instructions. Merged groups are dispatched through a
+// bitmap ready queue (internal/readyq) keyed by issue time; group order
+// within one time reproduces the lexicographic order of the historical
+// string keys.
 //
 // It returns the merged program and the number of instructions eliminated.
 //
@@ -164,62 +163,6 @@ func MergeInstructions(p isa.Program) (isa.Program, int) {
 	return out, len(p) - len(out)
 }
 
-// mergeProgram dispatches to the ready-dispatch merger or, under the
-// LegacyLevelScheduler ablation knob, the strict level-barrier merger.
-func mergeProgram(p isa.Program, opt Options) (isa.Program, int) {
-	if opt.LegacyLevelScheduler {
-		return mergeInstructionsLegacy(p)
-	}
-	return MergeInstructions(p)
-}
-
-// mergeInstructionsLegacy is the pre-PR-6 merger: instructions are grouped
-// under strict ASAP level barriers, so only instructions of exactly the
-// same dependence level can fuse. Retained as the reference side of the
-// differential scheduler tests and the scheduling ablation.
-func mergeInstructionsLegacy(p isa.Program) (isa.Program, int) {
-	if len(p) == 0 {
-		return p, 0
-	}
-	space := p.ResourceSpace()
-
-	ms := mergePool.Get().(*mergeScratch)
-	defer mergePool.Put(ms)
-	ms.levels = grow(ms.levels, len(p))
-
-	h := hazardPool.Get().(*hazardScratch)
-	h.begin(space.Size(), space.Arrays)
-	maxLevel := forwardLevels(p, space, h, ms.levels)
-	hazardPool.Put(h)
-	levels := ms.levels
-
-	// Group instruction indices by level with one counting sort.
-	ms.levelStart = grow(ms.levelStart, int(maxLevel)+2)
-	for i := range ms.levelStart {
-		ms.levelStart[i] = 0
-	}
-	for _, l := range levels {
-		ms.levelStart[l+1]++
-	}
-	for l := 1; l < len(ms.levelStart); l++ {
-		ms.levelStart[l] += ms.levelStart[l-1]
-	}
-	ms.byLevel = grow(ms.byLevel, len(p))
-	ms.cursor = grow(ms.cursor, int(maxLevel)+1)
-	copy(ms.cursor, ms.levelStart[:maxLevel+1])
-	for i, l := range levels {
-		ms.byLevel[ms.cursor[l]] = int32(i)
-		ms.cursor[l]++
-	}
-
-	out := make(isa.Program, 0, len(p))
-	for l := int32(0); l <= maxLevel; l++ {
-		idxs := ms.byLevel[ms.levelStart[l]:ms.levelStart[l+1]]
-		out = ms.mergeLevel(out, p, idxs)
-	}
-	return out, len(p) - len(out)
-}
-
 // mergeSig is the comparable bucket key replacing the historical
 // "R/%d/%s"-style strings. Reads discriminate on the hashed row set (the
 // astronomically unlikely hash collision is split by comparing the actual
@@ -232,7 +175,6 @@ type mergeSig struct {
 	src      int32  // writes: srcBuf, srcHost, or the source array id
 	rowsLen  int32  // reads: number of activated rows
 	rowsHash uint64 // reads: FNV-1a over the row list
-	salt     int32  // reads: bumped on hash collision (legacy path only)
 	shiftIdx int32  // shifts: instruction index (unique bucket)
 }
 
@@ -358,22 +300,6 @@ func cmpSigRows(a *mergeSig, arows []int, b *mergeSig, brows []int) int {
 	}
 }
 
-// bucketInfo is one merge bucket of a legacy level: its signature, the
-// representative row list (reads), and its member range in the scratch
-// member array.
-type bucketInfo struct {
-	sig   mergeSig
-	rows  []int // rows of the first member; read buckets only
-	count int32
-	start int32
-	fill  int32
-}
-
-// cmpBuckets orders a legacy level's buckets like the historical keys.
-func cmpBuckets(a, b *bucketInfo) int {
-	return cmpSigRows(&a.sig, a.rows, &b.sig, b.rows)
-}
-
 // mergeProbeWindow is how many issue times beyond its own ready level an
 // instruction probes for a fusion partner before opening its own group.
 // Probes are further capped by the instruction's deadline, so the window
@@ -385,9 +311,9 @@ const mergeProbeWindow = 32
 // times are both non-negative.
 const noGroupKey = ^uint64(0)
 
-// mergeGroup is one fusion group of the ready-dispatch merger: its
-// signature, representative rows, issue time, and members as a linked list
-// through mergeScratch.memberNext (program order).
+// mergeGroup is one fusion group of the merger: its signature,
+// representative rows, issue time, and members as a linked list through
+// mergeScratch.memberNext (program order).
 type mergeGroup struct {
 	sig        int32 // index into mergeScratch.sigs
 	rows       []int
@@ -404,23 +330,12 @@ type colEntry struct {
 	binding string
 }
 
-// mergeScratch is the pooled per-call state of the mergers.
+// mergeScratch is the pooled per-call state of the merger.
 type mergeScratch struct {
-	// Shared.
-	lookup  map[mergeSig]int32
-	order   []int32
-	members []int32
-	cols    []colEntry
-	levels  []int32
-
-	// Legacy level-barrier state.
-	levelStart []int32
-	cursor     []int32
-	byLevel    []int32
-	buckets    []bucketInfo
-	bucketOf   []int32
-
-	// Ready-dispatch state.
+	order      []int32
+	members    []int32
+	cols       []colEntry
+	levels     []int32
 	slack      []int32
 	groups     []mergeGroup
 	sigs       []mergeSig         // interned signature table
@@ -434,7 +349,6 @@ type mergeScratch struct {
 
 var mergePool = sync.Pool{New: func() any {
 	return &mergeScratch{
-		lookup:  make(map[mergeSig]int32),
 		sigID:   make(map[mergeSig]int32),
 		groupAt: make(map[uint64]int32),
 	}
@@ -513,73 +427,10 @@ func (ms *mergeScratch) stampCols(gid int32, in *isa.Instruction, space isa.Spac
 	}
 }
 
-// mergeLevel buckets one legacy level's instructions, orders the buckets
-// like the historical string keys, and appends the merged instructions to
-// out.
-func (ms *mergeScratch) mergeLevel(out isa.Program, p isa.Program, idxs []int32) isa.Program {
-	clear(ms.lookup)
-	ms.buckets = ms.buckets[:0]
-	ms.bucketOf = grow(ms.bucketOf, len(idxs))
-
-	for j, i := range idxs {
-		in := &p[i]
-		sig := makeSig(in, int(i))
-		var ord int32
-		for {
-			b, seen := ms.lookup[sig]
-			if !seen {
-				ord = int32(len(ms.buckets))
-				bi := bucketInfo{sig: sig}
-				if in.Kind == isa.KindRead {
-					bi.rows = in.Rows
-				}
-				ms.buckets = append(ms.buckets, bi)
-				ms.lookup[sig] = ord
-				break
-			}
-			if in.Kind != isa.KindRead || slices.Equal(in.Rows, ms.buckets[b].rows) {
-				ord = b
-				break
-			}
-			sig.salt++ // same hash, different row set: probe the next slot
-		}
-		ms.bucketOf[j] = ord
-		ms.buckets[ord].count++
-	}
-
-	ms.order = grow(ms.order, len(ms.buckets))
-	for i := range ms.order {
-		ms.order[i] = int32(i)
-	}
-	slices.SortFunc(ms.order, func(a, b int32) int {
-		return cmpBuckets(&ms.buckets[a], &ms.buckets[b])
-	})
-
-	run := int32(0)
-	for _, ord := range ms.order {
-		b := &ms.buckets[ord]
-		b.start, b.fill = run, 0
-		run += b.count
-	}
-	ms.members = grow(ms.members, len(idxs))
-	for j, i := range idxs {
-		b := &ms.buckets[ms.bucketOf[j]]
-		ms.members[b.start+b.fill] = i
-		b.fill++
-	}
-
-	for _, ord := range ms.order {
-		b := &ms.buckets[ord]
-		out = ms.appendMerged(out, p, ms.members[b.start:b.start+b.count])
-	}
-	return out
-}
-
 // appendMerged fuses one group of same-signature instructions onto out.
-// Group columns are disjoint by construction (the ready-dispatch merger
-// checks at join time, the legacy merger by level independence); a shared
-// column would be a scheduler bug, in which case the group passes through
-// unmerged (fail safe).
+// Group columns are disjoint by construction (checked at join time); a
+// shared column would be a scheduler bug, in which case the group passes
+// through unmerged (fail safe).
 func (ms *mergeScratch) appendMerged(out isa.Program, p isa.Program, idxs []int32) isa.Program {
 	if len(idxs) == 1 {
 		return append(out, p[idxs[0]])

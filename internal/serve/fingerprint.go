@@ -44,7 +44,7 @@ func ParseKey(s string) (Key, error) {
 // keySchema versions the canonical encoding: bump it whenever the encoding
 // below (or the meaning of an Options field) changes, so stale addresses
 // can never alias new programs.
-const keySchema = 1
+const keySchema = 2
 
 // KeySource addresses a C-subset kernel compile: the key of
 // (source text, normalized options). The source is hashed as written —
@@ -94,6 +94,9 @@ func writeOptions(h hash.Hash, opts sherlock.Options) {
 	writeBool(h, o.RecycleRows)
 	writeBool(h, o.WearLeveling)
 	writeBool(h, o.VerifyEmitted)
+	writeBool(h, o.VerifyEquivalence)
+	writeBool(h, o.Resynthesize)
+	writeUint(h, uint64(o.ResynthIterations))
 }
 
 func writeGraph(h hash.Hash, g *dfg.Graph) {

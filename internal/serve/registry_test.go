@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -62,6 +63,44 @@ func TestKeyGraphMatchesUse(t *testing.T) {
 	b.Output("out", b.Xor(b.Input("a"), b.Input("b")))
 	if KeyGraph(b.Graph(), opts) == KeyGraph(build(), opts) {
 		t.Fatal("different graphs hashed to the same key")
+	}
+}
+
+// TestKeyCoversEveryOption sets each field of sherlock.Options, one at a
+// time, to a value its normalized default does not take and requires both
+// KeySource and KeyGraph to move: a compile option left out of the hash
+// would let the registry serve a program compiled under different options.
+// A field of a kind this test cannot perturb fails it, so a new Options
+// field is either hashed or deliberately handled here.
+func TestKeyCoversEveryOption(t *testing.T) {
+	b := sherlock.NewBuilder()
+	b.Output("out", b.Xor(b.Input("a"), b.Input("b")))
+	g := b.Graph()
+
+	var base sherlock.Options
+	def := reflect.ValueOf(base.Normalized())
+	srcKey, graphKey := KeySource(kMux, base), KeyGraph(g, base)
+	typ := def.Type()
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		o := base
+		v := reflect.ValueOf(&o).Elem().Field(i)
+		switch f.Type.Kind() {
+		case reflect.Bool:
+			v.SetBool(!def.Field(i).Bool())
+		case reflect.Int:
+			v.SetInt(def.Field(i).Int() + 1)
+		case reflect.Float64:
+			v.SetFloat(def.Field(i).Float() + 0.5)
+		default:
+			t.Fatalf("Options.%s has kind %v: teach this test (and writeOptions) about it", f.Name, f.Type.Kind())
+		}
+		if KeySource(kMux, o) == srcKey {
+			t.Errorf("KeySource ignores Options.%s", f.Name)
+		}
+		if KeyGraph(g, o) == graphKey {
+			t.Errorf("KeyGraph ignores Options.%s", f.Name)
+		}
 	}
 }
 
