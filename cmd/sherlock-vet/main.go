@@ -32,7 +32,9 @@
 //	sherlock-vet [-root DIR] [packages...]
 //
 // Packages default to the deterministic core: the root facade (which now
-// carries the streaming execution layer), internal/mapping,
+// carries the streaming execution layer), the compiler's front half that
+// decides every emitted program (internal/cparser, internal/dfg,
+// internal/logic, internal/layout, internal/reliability), internal/mapping,
 // internal/sim, internal/experiments, internal/isa, internal/readyq,
 // plus the serving layer (internal/serve, internal/memo, internal/pool),
 // the analytics workload builders (internal/workloads/analytics),
@@ -60,6 +62,11 @@ import (
 
 var defaultDirs = []string{
 	".",
+	"internal/cparser",
+	"internal/dfg",
+	"internal/logic",
+	"internal/layout",
+	"internal/reliability",
 	"internal/mapping",
 	"internal/sim",
 	"internal/experiments",

@@ -25,8 +25,11 @@ func atChunkWords(c *Compiled, blockWords int) *Compiled {
 		Stats:      c.Stats,
 		Resynth:    c.Resynth,
 		opts:       c.opts,
-		result:     c.result,
+		target:     c.target,
 		source:     c.source,
+		outNames:   c.outNames,
+		outPlaces:  c.outPlaces,
+		outErr:     c.outErr,
 		chunkWords: blockWords,
 	}
 }

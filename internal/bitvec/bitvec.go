@@ -1,13 +1,12 @@
-// Package bitvec provides a dense bit-vector type used by the golden
-// (reference) implementations of the workloads and by the functional CIM
-// simulator. Bulk bitwise kernels operate on vectors of bits laid out one
-// element per lane; Vector is the host-side equivalent of one such lane set.
+// Package bitvec provides the dense bit-vector type behind the optimized
+// mapper's cluster footprints: one bit per DFG operand, with word-range
+// operations so a union or overlap count scans only the words where the
+// clusters can have bits.
 package bitvec
 
 import (
 	"fmt"
 	"math/bits"
-	"strings"
 )
 
 const wordBits = 64
@@ -26,41 +25,6 @@ func New(n int) *Vector {
 	}
 	return &Vector{n: n, words: make([]uint64, (n+wordBits-1)/wordBits)}
 }
-
-// FromBools builds a vector whose bit i equals b[i].
-func FromBools(b []bool) *Vector {
-	v := New(len(b))
-	for i, x := range b {
-		if x {
-			v.Set(i, true)
-		}
-	}
-	return v
-}
-
-// FromUint64 builds an n-bit vector from the low n bits of x, bit 0 being
-// the least significant bit of x. n must be at most 64.
-func FromUint64(x uint64, n int) *Vector {
-	if n > wordBits {
-		panic(fmt.Sprintf("bitvec: FromUint64 length %d > 64", n))
-	}
-	v := New(n)
-	if n > 0 {
-		v.words[0] = x & maskLow(n)
-		return v
-	}
-	return v
-}
-
-func maskLow(n int) uint64 {
-	if n >= wordBits {
-		return ^uint64(0)
-	}
-	return (uint64(1) << uint(n)) - 1
-}
-
-// Len returns the number of bits in the vector.
-func (v *Vector) Len() int { return v.n }
 
 // Get reports the value of bit i.
 func (v *Vector) Get(i int) bool {
@@ -84,87 +48,9 @@ func (v *Vector) check(i int) {
 	}
 }
 
-// Clone returns a deep copy of v.
-func (v *Vector) Clone() *Vector {
-	w := New(v.n)
-	copy(w.words, v.words)
-	return w
-}
-
-// Uint64 returns the low 64 bits of the vector as an integer, bit 0 least
-// significant.
-func (v *Vector) Uint64() uint64 {
-	if len(v.words) == 0 {
-		return 0
-	}
-	return v.words[0] & maskLow(min(v.n, wordBits))
-}
-
-// Words returns how many 64-bit words back the vector.
+// Words returns how many 64-bit words back the vector; bit i lives in word
+// i/64.
 func (v *Vector) Words() int { return len(v.words) }
-
-// Word returns the i-th backing word (bits 64i .. 64i+63, zero-padded past
-// the vector's end). Out-of-range word indices read as zero, so callers can
-// iterate lane blocks without bounds bookkeeping.
-func (v *Vector) Word(i int) uint64 {
-	if i < 0 || i >= len(v.words) {
-		return 0
-	}
-	return v.words[i]
-}
-
-// SetWord stores w as the i-th backing word; bits beyond the vector's
-// length are dropped. It panics when the word index is outside the vector.
-func (v *Vector) SetWord(i int, w uint64) {
-	if i < 0 || i >= len(v.words) {
-		panic(fmt.Sprintf("bitvec: word index %d out of range [0,%d)", i, len(v.words)))
-	}
-	v.words[i] = w
-	if i == len(v.words)-1 {
-		v.trim()
-	}
-}
-
-// OrWith ORs w into v in place (v |= w). The vectors must have equal
-// length. Unlike Or it allocates nothing, which makes it the primitive of
-// choice for hot-path set unions (cluster footprints in the mapper).
-func (v *Vector) OrWith(w *Vector) {
-	if v.n != w.n {
-		panic(fmt.Sprintf("bitvec: length mismatch %d vs %d", v.n, w.n))
-	}
-	for i := range v.words {
-		v.words[i] |= w.words[i]
-	}
-}
-
-// CopyFrom overwrites v with w's contents. The vectors must have equal
-// length; nothing is allocated.
-func (v *Vector) CopyFrom(w *Vector) {
-	if v.n != w.n {
-		panic(fmt.Sprintf("bitvec: length mismatch %d vs %d", v.n, w.n))
-	}
-	copy(v.words, w.words)
-}
-
-// Reset clears every bit without allocating.
-func (v *Vector) Reset() {
-	for i := range v.words {
-		v.words[i] = 0
-	}
-}
-
-// UnionOnesCount returns the popcount of a|b without materializing the
-// union. The vectors must have equal length.
-func UnionOnesCount(a, b *Vector) int {
-	if a.n != b.n {
-		panic(fmt.Sprintf("bitvec: length mismatch %d vs %d", a.n, b.n))
-	}
-	total := 0
-	for i := range a.words {
-		total += bits.OnesCount64(a.words[i] | b.words[i])
-	}
-	return total
-}
 
 // IntersectOnesCountRange returns the popcount of a&b over the inclusive
 // word-index range [lo, hi]. Callers bound the range to where both vectors
@@ -179,7 +65,7 @@ func IntersectOnesCountRange(a, b *Vector, lo, hi int) int {
 }
 
 // OrWithRange ors src's words [lo, hi] (inclusive) into v. When src has no
-// bits outside the range, the result equals a full OrWith.
+// bits outside the range, the result equals a full-length or.
 func (v *Vector) OrWithRange(src *Vector, lo, hi int) {
 	sw := src.words[lo : hi+1]
 	vw := v.words[lo : hi+1]
@@ -204,118 +90,4 @@ func (v *Vector) OrWithRangeCountNew(src *Vector, lo, hi int) int {
 // ZeroRange clears words [lo, hi] (inclusive).
 func (v *Vector) ZeroRange(lo, hi int) {
 	clear(v.words[lo : hi+1])
-}
-
-// OnesCount returns the number of set bits.
-func (v *Vector) OnesCount() int {
-	total := 0
-	for _, w := range v.words {
-		total += bits.OnesCount64(w)
-	}
-	return total
-}
-
-// Equal reports whether v and w have the same length and contents.
-func (v *Vector) Equal(w *Vector) bool {
-	if v.n != w.n {
-		return false
-	}
-	for i := range v.words {
-		if v.words[i] != w.words[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// String renders the vector MSB-first, e.g. "0b1010" for a 4-bit vector
-// with bits 1 and 3 set.
-func (v *Vector) String() string {
-	var sb strings.Builder
-	sb.WriteString("0b")
-	for i := v.n - 1; i >= 0; i-- {
-		if v.Get(i) {
-			sb.WriteByte('1')
-		} else {
-			sb.WriteByte('0')
-		}
-	}
-	return sb.String()
-}
-
-// binaryOp applies f word-wise to a and b, which must have equal length.
-func binaryOp(a, b *Vector, f func(x, y uint64) uint64) *Vector {
-	if a.n != b.n {
-		panic(fmt.Sprintf("bitvec: length mismatch %d vs %d", a.n, b.n))
-	}
-	out := New(a.n)
-	for i := range a.words {
-		out.words[i] = f(a.words[i], b.words[i])
-	}
-	out.trim()
-	return out
-}
-
-func (v *Vector) trim() {
-	if len(v.words) == 0 {
-		return
-	}
-	rem := v.n % wordBits
-	if rem != 0 {
-		v.words[len(v.words)-1] &= maskLow(rem)
-	}
-}
-
-// And returns a & b element-wise.
-func And(a, b *Vector) *Vector { return binaryOp(a, b, func(x, y uint64) uint64 { return x & y }) }
-
-// Or returns a | b element-wise.
-func Or(a, b *Vector) *Vector { return binaryOp(a, b, func(x, y uint64) uint64 { return x | y }) }
-
-// Xor returns a ^ b element-wise.
-func Xor(a, b *Vector) *Vector { return binaryOp(a, b, func(x, y uint64) uint64 { return x ^ y }) }
-
-// Not returns ^a element-wise.
-func Not(a *Vector) *Vector {
-	out := New(a.n)
-	for i := range a.words {
-		out.words[i] = ^a.words[i]
-	}
-	out.trim()
-	return out
-}
-
-// Nand returns ^(a & b) element-wise.
-func Nand(a, b *Vector) *Vector {
-	return binaryOp(a, b, func(x, y uint64) uint64 { return ^(x & y) })
-}
-
-// Nor returns ^(a | b) element-wise.
-func Nor(a, b *Vector) *Vector {
-	return binaryOp(a, b, func(x, y uint64) uint64 { return ^(x | y) })
-}
-
-// Xnor returns ^(a ^ b) element-wise.
-func Xnor(a, b *Vector) *Vector {
-	return binaryOp(a, b, func(x, y uint64) uint64 { return ^(x ^ y) })
-}
-
-// AndN folds And over one or more vectors.
-func AndN(vs ...*Vector) *Vector { return foldN(And, vs) }
-
-// OrN folds Or over one or more vectors.
-func OrN(vs ...*Vector) *Vector { return foldN(Or, vs) }
-
-// XorN folds Xor over one or more vectors.
-func XorN(vs ...*Vector) *Vector { return foldN(Xor, vs) }
-
-func foldN(f func(a, b *Vector) *Vector, vs []*Vector) *Vector {
-	if len(vs) == 0 {
-		panic("bitvec: fold over zero vectors")
-	}
-	acc := vs[0].Clone()
-	for _, v := range vs[1:] {
-		acc = f(acc, v)
-	}
-	return acc
 }

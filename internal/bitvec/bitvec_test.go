@@ -1,23 +1,65 @@
 package bitvec
 
 import (
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
-	"testing/quick"
 )
+
+// vec builds an n-bit vector with the given bits set.
+func vec(n int, set ...int) *Vector {
+	v := New(n)
+	for _, i := range set {
+		v.Set(i, true)
+	}
+	return v
+}
+
+// setBits lists the vector's set bits in ascending order.
+func setBits(v *Vector) []int {
+	var out []int
+	for i := 0; i < v.n; i++ {
+		if v.Get(i) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+func onesCount(v *Vector) int {
+	total := 0
+	for _, w := range v.words {
+		total += bits.OnesCount64(w)
+	}
+	return total
+}
+
+// wordRange returns the inclusive word range holding the vector's set
+// bits, or (Words(), -1) when it has none — the bounds the clusterer keeps
+// per footprint.
+func wordRange(v *Vector) (lo, hi int) {
+	lo, hi = v.Words(), -1
+	for i, w := range v.words {
+		if w != 0 {
+			lo, hi = min(lo, i), i
+		}
+	}
+	return lo, hi
+}
 
 func TestNewIsZero(t *testing.T) {
 	v := New(130)
-	if v.Len() != 130 {
-		t.Fatalf("Len = %d, want 130", v.Len())
+	if v.Words() != 3 {
+		t.Fatalf("Words = %d, want 3", v.Words())
 	}
 	for i := 0; i < 130; i++ {
 		if v.Get(i) {
 			t.Fatalf("bit %d set in fresh vector", i)
 		}
 	}
-	if v.OnesCount() != 0 {
-		t.Fatalf("OnesCount = %d, want 0", v.OnesCount())
+	if onesCount(v) != 0 {
+		t.Fatalf("OnesCount = %d, want 0", onesCount(v))
 	}
 }
 
@@ -32,7 +74,7 @@ func TestSetGet(t *testing.T) {
 			t.Errorf("bit %d not set", i)
 		}
 	}
-	if got := v.OnesCount(); got != len(idx) {
+	if got := onesCount(v); got != len(idx) {
 		t.Errorf("OnesCount = %d, want %d", got, len(idx))
 	}
 	v.Set(63, false)
@@ -41,87 +83,21 @@ func TestSetGet(t *testing.T) {
 	}
 }
 
-func TestFromUint64RoundTrip(t *testing.T) {
-	cases := []struct {
-		x uint64
-		n int
-	}{
-		{0, 8}, {0xAB, 8}, {0xFFFF, 16}, {1 << 63, 64}, {0xDEADBEEF, 32},
-	}
-	for _, c := range cases {
-		v := FromUint64(c.x, c.n)
-		want := c.x & maskLow(c.n)
-		if got := v.Uint64(); got != want {
-			t.Errorf("FromUint64(%#x,%d).Uint64() = %#x, want %#x", c.x, c.n, got, want)
+// TestWordAccess covers the word-granular view the range operations index:
+// Words counts the backing words, and bit i lives in word i/64.
+func TestWordAccess(t *testing.T) {
+	for n, want := range map[int]int{0: 0, 1: 1, 64: 1, 65: 2, 130: 3} {
+		if got := New(n).Words(); got != want {
+			t.Errorf("New(%d).Words() = %d, want %d", n, got, want)
 		}
 	}
-}
-
-func TestFromBools(t *testing.T) {
-	v := FromBools([]bool{true, false, true, true})
-	if v.Uint64() != 0b1101 {
-		t.Fatalf("FromBools = %#b, want 0b1101", v.Uint64())
+	v := vec(130, 3, 64, 129)
+	if lo, hi := wordRange(v); lo != 0 || hi != 2 {
+		t.Fatalf("word range = [%d,%d], want [0,2]", lo, hi)
 	}
-	if v.String() != "0b1101" {
-		t.Fatalf("String = %q", v.String())
+	if v.words[0] != 1<<3 || v.words[1] != 1 || v.words[2] != 1<<1 {
+		t.Fatalf("words = %#x, want bits 3 | 64 | 129 in words 0, 1, 2", v.words)
 	}
-}
-
-func TestBinaryOps(t *testing.T) {
-	a := FromUint64(0b1100, 4)
-	b := FromUint64(0b1010, 4)
-	cases := []struct {
-		name string
-		f    func(a, b *Vector) *Vector
-		want uint64
-	}{
-		{"And", And, 0b1000},
-		{"Or", Or, 0b1110},
-		{"Xor", Xor, 0b0110},
-		{"Nand", Nand, 0b0111},
-		{"Nor", Nor, 0b0001},
-		{"Xnor", Xnor, 0b1001},
-	}
-	for _, c := range cases {
-		if got := c.f(a, b).Uint64(); got != c.want {
-			t.Errorf("%s = %#b, want %#b", c.name, got, c.want)
-		}
-	}
-	if got := Not(a).Uint64(); got != 0b0011 {
-		t.Errorf("Not = %#b, want 0b0011", got)
-	}
-}
-
-func TestNotTrimsPadding(t *testing.T) {
-	a := New(5)
-	n := Not(a)
-	if got := n.OnesCount(); got != 5 {
-		t.Fatalf("Not(zero 5-bit).OnesCount = %d, want 5 (padding must stay clear)", got)
-	}
-}
-
-func TestFoldN(t *testing.T) {
-	a := FromUint64(0b111, 3)
-	b := FromUint64(0b101, 3)
-	c := FromUint64(0b100, 3)
-	if got := AndN(a, b, c).Uint64(); got != 0b100 {
-		t.Errorf("AndN = %#b, want 0b100", got)
-	}
-	if got := OrN(a, b, c).Uint64(); got != 0b111 {
-		t.Errorf("OrN = %#b, want 0b111", got)
-	}
-	if got := XorN(a, b, c).Uint64(); got != 0b110 {
-		t.Errorf("XorN = %#b, want 0b110", got)
-	}
-}
-
-func TestLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("And on mismatched lengths did not panic")
-		}
-	}()
-	And(New(3), New(4))
 }
 
 func TestIndexOutOfRangePanics(t *testing.T) {
@@ -133,44 +109,122 @@ func TestIndexOutOfRangePanics(t *testing.T) {
 	New(3).Get(3)
 }
 
-func TestEqualAndClone(t *testing.T) {
-	a := FromUint64(0x5A, 8)
-	b := a.Clone()
-	if !a.Equal(b) {
-		t.Fatal("clone not equal to original")
-	}
-	b.Set(0, !b.Get(0))
-	if a.Equal(b) {
-		t.Fatal("mutated clone still equal")
-	}
-	if a.Equal(New(9)) {
-		t.Fatal("vectors of different length reported equal")
-	}
-}
-
-// Property: De Morgan — NOT(a AND b) == NOT(a) OR NOT(b).
-func TestQuickDeMorgan(t *testing.T) {
-	f := func(x, y uint64) bool {
-		a, b := FromUint64(x, 64), FromUint64(y, 64)
-		return Not(And(a, b)).Equal(Or(Not(a), Not(b)))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+// TestLengthMismatchPanics checks that a word range past the end of the
+// shorter vector panics instead of touching memory outside it.
+func TestLengthMismatchPanics(t *testing.T) {
+	for name, f := range map[string]func(a, b *Vector){
+		"OrWithRange":             func(a, b *Vector) { a.OrWithRange(b, 0, 1) },
+		"OrWithRangeCountNew":     func(a, b *Vector) { a.OrWithRangeCountNew(b, 0, 1) },
+		"IntersectOnesCountRange": func(a, b *Vector) { IntersectOnesCountRange(a, b, 0, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a range past a 64-bit vector did not panic", name)
+				}
+			}()
+			f(New(64), New(128))
+		}()
 	}
 }
 
-// Property: XOR is its own inverse — (a XOR b) XOR b == a.
-func TestQuickXorInvolution(t *testing.T) {
-	f := func(x, y uint64) bool {
-		a, b := FromUint64(x, 64), FromUint64(y, 64)
-		return Xor(Xor(a, b), b).Equal(a)
+// TestBinaryOps checks the two-operand operations on one word against the
+// 0b1100 / 0b1010 truth table.
+func TestBinaryOps(t *testing.T) {
+	a, b := vec(4, 2, 3), vec(4, 1, 3)
+	if got := IntersectOnesCountRange(a, b, 0, 0); got != 1 {
+		t.Errorf("|a&b| = %d, want 1", got)
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+	or := vec(4, 2, 3)
+	or.OrWithRange(b, 0, 0)
+	if got := setBits(or); !slices.Equal(got, []int{1, 2, 3}) {
+		t.Errorf("a|b = %v, want [1 2 3]", got)
+	}
+	if got := vec(4, 2, 3).OrWithRangeCountNew(b, 0, 0); got != 1 {
+		t.Errorf("new bits of a|b = %d, want 1", got)
 	}
 }
 
-// Property: fold equivalences hold on random multi-word vectors.
+// TestFoldN folds three vectors into an accumulator and checks the union
+// and the per-step count of newly set bits.
+func TestFoldN(t *testing.T) {
+	acc := New(3)
+	var counts []int
+	for _, v := range []*Vector{vec(3, 0, 1, 2), vec(3, 0, 2), vec(3, 2)} {
+		counts = append(counts, acc.OrWithRangeCountNew(v, 0, 0))
+	}
+	if !slices.Equal(counts, []int{3, 0, 0}) || !slices.Equal(setBits(acc), []int{0, 1, 2}) {
+		t.Errorf("fold counts %v union %v, want [3 0 0] [0 1 2]", counts, setBits(acc))
+	}
+	acc = New(3)
+	counts = counts[:0]
+	for _, v := range []*Vector{vec(3, 2), vec(3, 0, 2), vec(3, 0, 1, 2)} {
+		counts = append(counts, acc.OrWithRangeCountNew(v, 0, 0))
+	}
+	if !slices.Equal(counts, []int{1, 1, 1}) {
+		t.Errorf("reverse fold counts %v, want [1 1 1]", counts)
+	}
+}
+
+func TestOrWithRange(t *testing.T) {
+	dst := vec(256, 5, 200)
+	src := vec(256, 70, 130, 131)
+	dst.OrWithRange(src, 1, 2)
+	if got := setBits(dst); !slices.Equal(got, []int{5, 70, 130, 131, 200}) {
+		t.Errorf("OrWithRange = %v", got)
+	}
+	// Bits of src outside the range are not copied.
+	dst = New(256)
+	dst.OrWithRange(src, 2, 3)
+	if got := setBits(dst); !slices.Equal(got, []int{130, 131}) {
+		t.Errorf("OrWithRange over words 2..3 = %v, want [130 131]", got)
+	}
+	if got := setBits(src); !slices.Equal(got, []int{70, 130, 131}) {
+		t.Errorf("source modified: %v", got)
+	}
+}
+
+func TestOrWithRangeCountNew(t *testing.T) {
+	dst := vec(256, 70, 200)
+	src := vec(256, 3, 70, 71, 130)
+	if got := dst.OrWithRangeCountNew(src, 1, 2); got != 2 {
+		t.Errorf("newly set = %d, want 2 (71 and 130; 70 was set, 3 is outside)", got)
+	}
+	if got := setBits(dst); !slices.Equal(got, []int{70, 71, 130, 200}) {
+		t.Errorf("union = %v", got)
+	}
+	if got := dst.OrWithRangeCountNew(src, 1, 2); got != 0 {
+		t.Errorf("second union newly set %d, want 0", got)
+	}
+}
+
+func TestIntersectOnesCountRange(t *testing.T) {
+	a := vec(256, 1, 64, 65, 130, 255)
+	b := vec(256, 1, 65, 130, 131, 255)
+	for _, c := range []struct{ lo, hi, want int }{
+		{0, 3, 4}, {1, 2, 2}, {1, 1, 1}, {3, 3, 1}, {2, 1, 0},
+	} {
+		if got := IntersectOnesCountRange(a, b, c.lo, c.hi); got != c.want {
+			t.Errorf("|a&b| over words [%d,%d] = %d, want %d", c.lo, c.hi, got, c.want)
+		}
+	}
+}
+
+func TestZeroRange(t *testing.T) {
+	v := vec(256, 0, 64, 127, 128, 255)
+	v.ZeroRange(1, 2)
+	if got := setBits(v); !slices.Equal(got, []int{0, 255}) {
+		t.Errorf("after ZeroRange(1,2) = %v, want [0 255]", got)
+	}
+	v.ZeroRange(0, 3)
+	if onesCount(v) != 0 {
+		t.Errorf("ZeroRange over every word left %v", setBits(v))
+	}
+}
+
+// Property: folding random multi-word vectors with the range operations,
+// each bounded by the words where the source has bits (as the clusterer
+// does), matches a bit-by-bit union and intersection.
 func TestQuickFoldMatchesBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
@@ -179,54 +233,43 @@ func TestQuickFoldMatchesBitwise(t *testing.T) {
 		for i := range vs {
 			vs[i] = New(n)
 			for j := 0; j < n; j++ {
-				vs[i].Set(j, rng.Intn(2) == 1)
+				vs[i].Set(j, rng.Intn(4) == 0)
 			}
 		}
-		and, or, xor := AndN(vs...), OrN(vs...), XorN(vs...)
+		acc := New(n)
+		want := make([]bool, n)
+		for _, v := range vs {
+			lo, hi := wordRange(v)
+			if hi < 0 {
+				continue
+			}
+			inter, fresh := 0, 0
+			for j := 0; j < n; j++ {
+				if v.Get(j) && want[j] {
+					inter++
+				}
+				if v.Get(j) && !want[j] {
+					fresh++
+					want[j] = true
+				}
+			}
+			if got := IntersectOnesCountRange(acc, v, lo, hi); got != inter {
+				t.Fatalf("trial %d: intersection %d, want %d", trial, got, inter)
+			}
+			if got := acc.OrWithRangeCountNew(v, lo, hi); got != fresh {
+				t.Fatalf("trial %d: newly set %d, want %d", trial, got, fresh)
+			}
+		}
 		for j := 0; j < n; j++ {
-			wa, wo, wx := true, false, false
-			for _, v := range vs {
-				wa = wa && v.Get(j)
-				wo = wo || v.Get(j)
-				wx = wx != v.Get(j)
-			}
-			if and.Get(j) != wa || or.Get(j) != wo || xor.Get(j) != wx {
-				t.Fatalf("trial %d bit %d: fold mismatch", trial, j)
+			if acc.Get(j) != want[j] {
+				t.Fatalf("trial %d bit %d: union mismatch", trial, j)
 			}
 		}
-	}
-}
-
-// TestWordAccess covers the word-granular view used by the SWAR
-// evaluator: Word/SetWord round-trip, out-of-range reads return zero, and
-// SetWord on the final partial word drops bits past the vector length.
-func TestWordAccess(t *testing.T) {
-	v := New(70) // 2 words, final word 6 bits wide
-	if v.Words() != 2 {
-		t.Fatalf("Words() = %d, want 2", v.Words())
-	}
-	const pattern = uint64(0xDEADBEEFDEADBEEF)
-	v.SetWord(0, pattern)
-	v.SetWord(1, ^uint64(0)) // bits 6..63 must be trimmed
-	if got := v.Word(1); got != 0x3F {
-		t.Fatalf("partial word = %#x, want 0x3f", got)
-	}
-	if v.Word(0) != pattern {
-		t.Fatal("full word round trip failed")
-	}
-	if v.Word(5) != 0 {
-		t.Fatal("out-of-range Word not zero")
-	}
-	for i := 0; i < 70; i++ {
-		want := i < 64 && pattern>>uint(i)&1 == 1 || i >= 64
-		if v.Get(i) != want {
-			t.Fatalf("bit %d = %v after SetWord, want %v", i, v.Get(i), want)
+		if lo, hi := wordRange(acc); hi >= 0 {
+			acc.ZeroRange(lo, hi)
+		}
+		if onesCount(acc) != 0 {
+			t.Fatalf("trial %d: ZeroRange over the union's words left bits", trial)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetWord out of range did not panic")
-		}
-	}()
-	v.SetWord(2, 1)
 }

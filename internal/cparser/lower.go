@@ -178,7 +178,7 @@ func (lo *lowerer) stmt(s stmt) error {
 				return err
 			}
 			lo.scopes = lo.scopes[:len(lo.scopes)-1]
-			for name := range declared {
+			for name := range declared { //sherlock:allow rangemap (deletes every key; order-insensitive)
 				delete(lo.vals, name)
 			}
 		}

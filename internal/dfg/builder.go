@@ -2,7 +2,6 @@ package dfg
 
 import (
 	"fmt"
-	"sort"
 
 	"sherlock/internal/logic"
 )
@@ -252,73 +251,6 @@ func makeKey(op logic.Op, ids []NodeID) cseKey {
 	return cseKey{op: op, a: a, b: c}
 }
 
-// PruneDead returns a copy of g with op nodes whose results are transitively
-// unused (not reachable from any kernel output) removed. The relative order
-// of surviving nodes is preserved.
-func PruneDead(g *Graph) *Graph {
-	live := make([]bool, len(g.nodes)) // live operands and ops, by NodeID
-	var stack []NodeID
-	for _, out := range g.outputs {
-		if !live[out] {
-			live[out] = true
-			stack = append(stack, out)
-		}
-	}
-	for len(stack) > 0 {
-		operand := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		p := g.Producer(operand)
-		if p == NoNode || live[p] {
-			continue
-		}
-		live[p] = true
-		for _, in := range g.opInputs[p] {
-			if !live[in] {
-				live[in] = true
-				stack = append(stack, in)
-			}
-		}
-	}
-
-	n := New()
-	remap := newRemap(len(g.nodes))
-	// Recreate inputs first (even unused ones: they are part of the kernel
-	// signature), then replay live ops in creation order.
-	for _, in := range g.inputs {
-		remap[in] = n.AddInput(g.Name(in))
-	}
-	for id := range g.nodes {
-		nid := NodeID(id)
-		if g.nodes[id].kind != KindOp || !live[nid] {
-			continue
-		}
-		ins := make([]NodeID, len(g.opInputs[nid]))
-		for i, in := range g.opInputs[nid] {
-			m := remap[in]
-			if m == NoNode {
-				panic(fmt.Sprintf("dfg: PruneDead lost operand %d", in))
-			}
-			ins[i] = m
-		}
-		out := g.opOutput[nid]
-		remap[out] = n.AddOpNamed(g.nodes[id].op, g.Name(out), ins...)
-	}
-	for i, out := range g.outputs {
-		n.MarkOutputNamed(remap[out], g.outputAlias[i])
-	}
-	return n
-}
-
-// newRemap returns an old-to-new NodeID table for a graph of n nodes, with
-// every entry NoNode until mapped.
-func newRemap(n int) []NodeID {
-	remap := make([]NodeID, n)
-	for i := range remap {
-		remap[i] = NoNode
-	}
-	return remap
-}
-
 // InputNames returns the kernel input names in creation order.
 func (g *Graph) InputNames() []string {
 	names := make([]string, len(g.inputs))
@@ -336,22 +268,4 @@ func (g *Graph) OutputNames() []string {
 		names[i] = g.outputName(i)
 	}
 	return names
-}
-
-// SortedOpCounts renders per-op counts in a stable order, for reports.
-func SortedOpCounts(byOp map[logic.Op]int) []string {
-	type kv struct {
-		op logic.Op
-		n  int
-	}
-	var list []kv
-	for op, n := range byOp {
-		list = append(list, kv{op, n})
-	}
-	sort.Slice(list, func(i, j int) bool { return list[i].op < list[j].op })
-	out := make([]string, len(list))
-	for i, e := range list {
-		out[i] = fmt.Sprintf("%v:%d", e.op, e.n)
-	}
-	return out
 }

@@ -217,28 +217,6 @@ func TestBuilderMux(t *testing.T) {
 	}
 }
 
-func TestPruneDead(t *testing.T) {
-	b := NewBuilder()
-	x, y := b.Input("x"), b.Input("y")
-	live := b.And(x, y)
-	b.Or(x, y) // dead
-	b.Output("z", live)
-	g := b.Graph()
-	pruned := PruneDead(g)
-	if err := pruned.Validate(); err != nil {
-		t.Fatalf("pruned invalid: %v", err)
-	}
-	if pruned.ComputeStats().Ops != 1 {
-		t.Errorf("pruned ops = %d, want 1", pruned.ComputeStats().Ops)
-	}
-	if len(pruned.Inputs()) != 2 {
-		t.Error("pruning dropped kernel inputs")
-	}
-	if err := EquivalentOn(g, pruned, allPairs("x", "y")); err != nil {
-		t.Errorf("pruned graph not equivalent: %v", err)
-	}
-}
-
 func allPairs(a, b string) []map[string]bool {
 	var out []map[string]bool
 	for _, va := range []bool{false, true} {

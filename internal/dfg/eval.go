@@ -140,7 +140,8 @@ func EquivalentOn(a, b *Graph, assignments []map[string]bool) error {
 		if len(ra) != len(rb) {
 			return fmt.Errorf("assignment %d: output count %d vs %d", i, len(ra), len(rb))
 		}
-		for name, va := range ra {
+		for _, name := range a.OutputNames() {
+			va := ra[name]
 			vb, ok := rb[name]
 			if !ok {
 				return fmt.Errorf("assignment %d: output %q missing from graph b", i, name)

@@ -40,24 +40,6 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
-func TestSortedOpCounts(t *testing.T) {
-	got := SortedOpCounts(map[logic.Op]int{logic.Xor: 2, logic.And: 1})
-	if len(got) != 2 || got[0] != "AND:1" || got[1] != "XOR:2" {
-		t.Errorf("SortedOpCounts = %v", got)
-	}
-}
-
-func TestPruneDeadKeepsAliases(t *testing.T) {
-	b := NewBuilder()
-	x, y := b.Input("x"), b.Input("y")
-	b.Output("keep", b.And(x, y))
-	b.Xor(x, y) // dead
-	pruned := PruneDead(b.Graph())
-	if pruned.OutputNames()[0] != "keep" {
-		t.Error("alias lost through pruning")
-	}
-}
-
 // TestEvaluateWordsMatchesScalar checks the word-parallel evaluator lane
 // by lane against the scalar Evaluate path.
 func TestEvaluateWordsMatchesScalar(t *testing.T) {

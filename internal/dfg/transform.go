@@ -53,7 +53,7 @@ func SubstituteNodes(g *Graph, opt SubstituteOptions) (*Graph, SubstituteStats) 
 	if opt.MaxOperands < 2 {
 		panic(fmt.Sprintf("dfg: MaxOperands %d < 2", opt.MaxOperands))
 	}
-	if opt.Fraction < 0 || opt.Fraction > 1 {
+	if !(opt.Fraction >= 0 && opt.Fraction <= 1) { // NaN too
 		panic(fmt.Sprintf("dfg: Fraction %g outside [0,1]", opt.Fraction))
 	}
 	stats := SubstituteStats{OpsBefore: g.numOps}
@@ -151,7 +151,10 @@ func SubstituteNodes(g *Graph, opt SubstituteOptions) (*Graph, SubstituteStats) 
 
 	// Rebuild: every surviving op keeps its result operand.
 	n2 := New()
-	remap := newRemap(len(g.nodes))
+	remap := make([]NodeID, len(g.nodes)) // old -> new; NoNode until mapped
+	for i := range remap {
+		remap[i] = NoNode
+	}
 	for _, in := range g.inputs {
 		remap[in] = n2.AddInput(g.Name(in))
 	}

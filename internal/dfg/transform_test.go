@@ -2,6 +2,7 @@ package dfg
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -80,6 +81,22 @@ func TestSubstituteFractionZeroIsIdentity(t *testing.T) {
 	}
 	if err := EquivalentOn(g, out, randomAssignments(g, 16, 3)); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSubstituteRejectsBadFraction checks that a fraction outside [0,1],
+// NaN included, is refused rather than read as some number of fusions.
+func TestSubstituteRejectsBadFraction(t *testing.T) {
+	g := chainGraph(logic.And, 6)
+	for _, f := range []float64{-0.1, 1.5, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Fraction %g accepted", f)
+				}
+			}()
+			SubstituteNodes(g, SubstituteOptions{MaxOperands: 4, Fraction: f})
+		}()
 	}
 }
 

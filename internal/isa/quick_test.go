@@ -99,26 +99,36 @@ func TestQuickProgramStatsInvariant(t *testing.T) {
 	}
 }
 
-// Property: Accesses never returns a resource outside the instruction's
-// own arrays, and every written cell matches the instruction's row/cols.
+// Property: AppendAccessIDs never returns a resource outside the
+// instruction's own arrays, and every written cell matches the
+// instruction's row/cols.
 func TestQuickAccessesWellFormed(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
+	s := testSpace
+	bufs := s.Arrays * s.BufCols
 	for i := 0; i < 300; i++ {
 		in := randomInstruction(rng)
-		reads, writes := in.Accesses(64)
+		reads, writes := in.AppendAccessIDs(s, nil, nil)
 		valid := map[int]bool{in.Array: true}
 		if in.HasSrcArray {
 			valid[in.SrcArray] = true
 		}
-		for _, r := range append(reads, writes...) {
-			if !valid[r.Array] {
-				t.Fatalf("%s touches foreign array %d", in, r.Array)
+		for _, id := range append(reads, writes...) {
+			if id < 0 || int(id) >= s.Size() {
+				t.Fatalf("%s: ID %d outside space of %d", in, id, s.Size())
+			}
+			array := int(id) / s.BufCols
+			if int(id) >= bufs {
+				array = (int(id) - bufs) / (s.BufCols * s.Rows)
+			}
+			if !valid[array] {
+				t.Fatalf("%s touches foreign array %d", in, array)
 			}
 		}
 		if in.Kind == KindWrite {
-			for _, w := range writes {
-				if w.Kind != ResCell || w.Row != in.Rows[0] {
-					t.Fatalf("%s writes unexpected resource %+v", in, w)
+			for j, w := range writes {
+				if w != s.CellID(in.Array, in.Cols[j], in.Rows[0]) {
+					t.Fatalf("%s writes unexpected resource %d", in, w)
 				}
 			}
 		}

@@ -1,89 +1,19 @@
 package isa
 
 // Resource-level dependence metadata: which cells and row-buffer bits an
-// instruction reads and writes. The instruction merger and the parallel
-// timing model both build their hazard analysis on these sets.
-
-// ResKind distinguishes the two storage resources.
-type ResKind uint8
-
-// Resource kinds.
-const (
-	ResCell ResKind = iota // a memory cell (array, col, row)
-	ResBuf                 // a row-buffer bit (array, col)
-)
-
-// Resource identifies one cell or row-buffer bit.
-type Resource struct {
-	Kind  ResKind
-	Array int
-	Col   int
-	Row   int // cells only
-}
-
-// CellRes builds a cell resource.
-func CellRes(array, col, row int) Resource {
-	return Resource{Kind: ResCell, Array: array, Col: col, Row: row}
-}
-
-// BufRes builds a row-buffer bit resource.
-func BufRes(array, col int) Resource {
-	return Resource{Kind: ResBuf, Array: array, Col: col}
-}
-
-// Accesses returns the resources the instruction reads and writes. Shifts
-// conservatively touch every row-buffer bit of their array up to bufCols
-// columns (the widest column index in use plus one).
-func (in Instruction) Accesses(bufCols int) (reads, writes []Resource) {
-	return in.AppendAccesses(bufCols, nil, nil)
-}
-
-// AppendAccesses appends the instruction's read and written resources to
-// the caller-supplied buffers and returns the extended slices. Hazard
-// analysis (the instruction merger's level scheduler and the parallel
-// timing model) calls this once per instruction with recycled buffers, so
-// the steady state allocates nothing.
-func (in Instruction) AppendAccesses(bufCols int, reads, writes []Resource) ([]Resource, []Resource) {
-	switch in.Kind {
-	case KindRead:
-		for _, c := range in.Cols {
-			for _, r := range in.Rows {
-				reads = append(reads, CellRes(in.Array, c, r))
-			}
-			writes = append(writes, BufRes(in.Array, c))
-		}
-	case KindWrite:
-		src := in.Source()
-		for _, c := range in.Cols {
-			if !in.IsHostWrite() {
-				reads = append(reads, BufRes(src, c))
-			}
-			writes = append(writes, CellRes(in.Array, c, in.Rows[0]))
-		}
-	case KindShift:
-		for c := 0; c < bufCols; c++ {
-			reads = append(reads, BufRes(in.Array, c))
-			writes = append(writes, BufRes(in.Array, c))
-		}
-	case KindNot:
-		for _, c := range in.Cols {
-			reads = append(reads, BufRes(in.Array, c))
-			writes = append(writes, BufRes(in.Array, c))
-		}
-	}
-	return reads, writes
-}
+// instruction reads and writes, as dense IDs. The instruction merger and
+// the parallel timing model both build their hazard analysis on these sets.
 
 // Space is the dense resource-ID universe of one program: every cell and
 // row-buffer bit the program can touch maps to one int32 in [0, Size()).
 // Hazard state (last writer, last readers) then lives in flat arrays
-// indexed by ID instead of map[Resource] hash tables. The bounds come from
-// the program itself (widest array/column/row index in use), so the space
-// tracks the compact region the mapper actually filled, not the full
-// fabric.
+// indexed by ID instead of hash tables keyed by coordinates. The bounds
+// come from the program itself (widest array/column/row index in use), so
+// the space tracks the compact region the mapper actually filled, not the
+// full fabric.
 type Space struct {
 	Arrays  int // widest array index used + 1
-	BufCols int // widest column index used + 1 (the Accesses bufCols bound)
+	BufCols int // widest column index used + 1 (the span a shift touches)
 	Rows    int // widest row index used + 1
 }
 
@@ -144,19 +74,16 @@ func (s Space) CellID(array, col, row int) int32 {
 	return int32(s.Arrays*s.BufCols + (array*s.BufCols+col)*s.Rows + row)
 }
 
-// ID interns one Resource into the space (the slow, generic path; hot
-// loops use AppendAccessIDs instead).
-func (s Space) ID(r Resource) int32 {
-	if r.Kind == ResBuf {
-		return s.BufID(r.Array, r.Col)
-	}
-	return s.CellID(r.Array, r.Col, r.Row)
-}
-
 // AppendAccessIDs appends the dense IDs of the instruction's read and
-// written resources to the caller's buffers, mirroring AppendAccesses. The
-// instruction must lie inside the space (true by construction when the
-// space came from ResourceSpace on the same program).
+// written resources to the caller's buffers and returns the extended
+// slices. A read reads its cells and writes its columns' buffer bits; a
+// write reads its source buffer bits (none for a host write) and writes
+// its cells; a NOT reads and writes its columns' buffer bits; a shift
+// conservatively reads and writes every buffer bit of its array up to
+// s.BufCols. The instruction must lie inside the space (true by
+// construction when the space came from ResourceSpace on the same
+// program). Hazard analysis calls this once per instruction with recycled
+// buffers, so the steady state allocates nothing.
 func (in Instruction) AppendAccessIDs(s Space, reads, writes []int32) ([]int32, []int32) {
 	switch in.Kind {
 	case KindRead:
@@ -189,18 +116,4 @@ func (in Instruction) AppendAccessIDs(s Space, reads, writes []int32) ([]int32, 
 		}
 	}
 	return reads, writes
-}
-
-// MaxCol returns the widest column index used by the program plus one (the
-// bufCols bound for Accesses).
-func (p Program) MaxCol() int {
-	max := 0
-	for _, in := range p {
-		for _, c := range in.Cols {
-			if c+1 > max {
-				max = c + 1
-			}
-		}
-	}
-	return max
 }

@@ -46,18 +46,18 @@ type ColumnRef struct {
 // Layout is the operand-to-cell assignment. The zero value is unusable;
 // construct with New.
 //
-// NodeIDs and column coordinates are both dense small integers, so the hot
-// per-allocation state lives in flat slices: the canonical home cell is
-// stored inline per operand (no per-node slice allocation), and only the
-// rare duplicate placements of the naive mapper spill into a map.
+// The mappers ask only three things of it: an operand's home cell, its copy
+// in a given column, and the next free row of a column. NodeIDs and column
+// coordinates are both dense small integers, so that state lives in flat
+// slices: the canonical home cell is stored inline per operand (sized once
+// from the graph), and only the rare duplicate placements of the naive
+// mapper spill into a map.
 type Layout struct {
 	target   Target
 	home     []Place                // operand -> canonical cell; Row < 0 = unplaced
 	more     map[dfg.NodeID][]Place // duplicate cells beyond the home (naive mapper)
-	placed   int                    // operands with at least one cell
-	occupant map[Place]dfg.NodeID
-	fill     []int32   // bump allocator: next free row, indexed by array*Cols+col
-	freed    [][]int32 // recycled rows available below the bump point
+	fill     []int32                // bump allocator: next free row, indexed by array*Cols+col
+	freed    [][]int32              // recycled rows available below the bump point
 	recycled int
 
 	// WearLeveling switches the recycled-row pool from LIFO (reuse the
@@ -67,17 +67,22 @@ type Layout struct {
 	WearLeveling bool
 }
 
-// New returns an empty layout over the target.
-func New(t Target) *Layout {
+// New returns an empty layout over the target for operands with NodeIDs
+// below nodes (a graph's NumNodes).
+func New(t Target, nodes int) *Layout {
 	if err := t.Validate(); err != nil {
 		panic(err)
 	}
+	home := make([]Place, nodes)
+	for i := range home {
+		home[i].Row = -1
+	}
 	return &Layout{
-		target:   t,
-		more:     make(map[dfg.NodeID][]Place),
-		occupant: make(map[Place]dfg.NodeID),
-		fill:     make([]int32, t.Arrays*t.Cols),
-		freed:    make([][]int32, t.Arrays*t.Cols),
+		target: t,
+		home:   home,
+		more:   make(map[dfg.NodeID][]Place),
+		fill:   make([]int32, t.Arrays*t.Cols),
+		freed:  make([][]int32, t.Arrays*t.Cols),
 	}
 }
 
@@ -87,25 +92,11 @@ func (l *Layout) Target() Target { return l.target }
 // colIndex flattens a (validated) column reference.
 func (l *Layout) colIndex(c ColumnRef) int { return c.Array*l.target.Cols + c.Col }
 
-// homeAt returns the operand's inline home slot, or nil if the slot has
-// never been touched.
+// homeAt returns the operand's inline home slot, or nil if the NodeID is
+// outside the layout.
 func (l *Layout) homeAt(node dfg.NodeID) *Place {
-	if int(node) >= len(l.home) {
+	if node < 0 || int(node) >= len(l.home) {
 		return nil
-	}
-	return &l.home[node]
-}
-
-// ensureHome grows the home table to cover node and returns its slot.
-func (l *Layout) ensureHome(node dfg.NodeID) *Place {
-	for int(node) >= len(l.home) {
-		n := max(2*cap(l.home), int(node)+1)
-		grown := make([]Place, len(l.home), n)
-		copy(grown, l.home)
-		l.home = grown[:cap(grown)]
-		for i := len(grown); i < len(l.home); i++ {
-			l.home[i].Row = -1
-		}
 	}
 	return &l.home[node]
 }
@@ -117,18 +108,20 @@ func (l *Layout) Alloc(node dfg.NodeID, c ColumnRef) (Place, error) {
 	if err := l.checkColumn(c); err != nil {
 		return Place{}, err
 	}
+	slot := l.homeAt(node)
+	if slot == nil {
+		return Place{}, fmt.Errorf("layout: operand %d outside layout (%d nodes)", node, len(l.home))
+	}
 	row, ok := l.pickRow(c)
 	if !ok {
 		return Place{}, fmt.Errorf("layout: column %v full (%d rows)", c, l.target.Rows)
 	}
 	p := Place{Array: c.Array, Col: c.Col, Row: row}
-	if slot := l.ensureHome(node); slot.Row < 0 {
+	if slot.Row < 0 {
 		*slot = p
-		l.placed++
 	} else {
 		l.more[node] = append(l.more[node], p)
 	}
-	l.occupant[p] = node
 	return p, nil
 }
 
@@ -182,11 +175,9 @@ func (l *Layout) Release(node dfg.NodeID) {
 	}
 	slot.Row = -1
 	delete(l.more, node)
-	l.placed--
 }
 
 func (l *Layout) releaseCell(p Place) {
-	delete(l.occupant, p)
 	ci := l.colIndex(ColumnRef{Array: p.Array, Col: p.Col})
 	l.freed[ci] = append(l.freed[ci], int32(p.Row))
 }
@@ -221,17 +212,6 @@ func (l *Layout) Home(node dfg.NodeID) (Place, bool) {
 	return *slot, true
 }
 
-// Places returns every cell holding the operand (a copy).
-func (l *Layout) Places(node dfg.NodeID) []Place {
-	slot := l.homeAt(node)
-	if slot == nil || slot.Row < 0 {
-		return nil
-	}
-	out := make([]Place, 0, 1+len(l.more[node]))
-	out = append(out, *slot)
-	return append(out, l.more[node]...)
-}
-
 // InColumn returns the operand's cell within the given column, if any.
 func (l *Layout) InColumn(node dfg.NodeID, c ColumnRef) (Place, bool) {
 	slot := l.homeAt(node)
@@ -249,28 +229,6 @@ func (l *Layout) InColumn(node dfg.NodeID, c ColumnRef) (Place, bool) {
 	return Place{}, false
 }
 
-// OccupantAt returns the operand stored at the cell, if any.
-func (l *Layout) OccupantAt(p Place) (dfg.NodeID, bool) {
-	n, ok := l.occupant[p]
-	return n, ok
-}
-
-// IsPlaced reports whether the operand has at least one cell.
-func (l *Layout) IsPlaced(node dfg.NodeID) bool {
-	slot := l.homeAt(node)
-	return slot != nil && slot.Row >= 0
-}
-
-// CellsUsed returns the number of occupied cells.
-func (l *Layout) CellsUsed() int { return len(l.occupant) }
-
-// OperandsPlaced returns the number of distinct operands with a home.
-func (l *Layout) OperandsPlaced() int { return l.placed }
-
-// DuplicateCells returns how many cells hold redundant copies (total cells
-// minus distinct operands) — the data-duplication overhead of a mapping.
-func (l *Layout) DuplicateCells() int { return len(l.occupant) - l.placed }
-
 // ColumnsUsed returns the columns with at least one allocation, sorted by
 // (array, col). Column indices are already laid out in that order, so the
 // scan produces sorted output directly.
@@ -282,14 +240,4 @@ func (l *Layout) ColumnsUsed() []ColumnRef {
 		}
 	}
 	return out
-}
-
-// Utilization returns occupied cells over the capacity of the columns in
-// use (1.0 = perfectly packed columns).
-func (l *Layout) Utilization() float64 {
-	used := l.ColumnsUsed()
-	if len(used) == 0 {
-		return 0
-	}
-	return float64(len(l.occupant)) / float64(len(used)*l.target.Rows)
 }

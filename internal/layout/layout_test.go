@@ -8,6 +8,18 @@ import (
 
 func target() Target { return Target{Arrays: 2, Rows: 4, Cols: 3} }
 
+// nodes is the NodeID bound every test layout is sized for.
+const nodes = 100
+
+// cellsUsed counts the occupied cells of the columns in use.
+func cellsUsed(l *Layout) int {
+	n := 0
+	for _, c := range l.ColumnsUsed() {
+		n += target().Rows - l.FreeRows(c)
+	}
+	return n
+}
+
 func TestTargetValidate(t *testing.T) {
 	if err := target().Validate(); err != nil {
 		t.Fatal(err)
@@ -23,7 +35,7 @@ func TestTargetValidate(t *testing.T) {
 }
 
 func TestAllocSequentialRows(t *testing.T) {
-	l := New(target())
+	l := New(target(), nodes)
 	c := ColumnRef{Array: 0, Col: 1}
 	for i := 0; i < 4; i++ {
 		p, err := l.Alloc(dfg.NodeID(i), c)
@@ -43,7 +55,7 @@ func TestAllocSequentialRows(t *testing.T) {
 }
 
 func TestAllocRejectsBadColumn(t *testing.T) {
-	l := New(target())
+	l := New(target(), nodes)
 	for _, c := range []ColumnRef{{Array: 2, Col: 0}, {Array: 0, Col: 3}, {Array: -1, Col: 0}} {
 		if _, err := l.Alloc(1, c); err == nil {
 			t.Errorf("accepted column %v", c)
@@ -55,7 +67,7 @@ func TestAllocRejectsBadColumn(t *testing.T) {
 }
 
 func TestHomeAndDuplicates(t *testing.T) {
-	l := New(target())
+	l := New(target(), nodes)
 	n := dfg.NodeID(7)
 	p1, _ := l.Alloc(n, ColumnRef{0, 0})
 	p2, _ := l.Alloc(n, ColumnRef{0, 2})
@@ -63,8 +75,8 @@ func TestHomeAndDuplicates(t *testing.T) {
 	if !ok || home != p1 {
 		t.Errorf("home = %v, want %v", home, p1)
 	}
-	if got := len(l.Places(n)); got != 2 {
-		t.Errorf("places = %d, want 2", got)
+	if got := cellsUsed(l); got != 2 {
+		t.Errorf("cells used = %d, want 2 (home plus one copy)", got)
 	}
 	if got, ok := l.InColumn(n, ColumnRef{0, 2}); !ok || got != p2 {
 		t.Errorf("InColumn = %v %v", got, ok)
@@ -72,16 +84,24 @@ func TestHomeAndDuplicates(t *testing.T) {
 	if _, ok := l.InColumn(n, ColumnRef{1, 0}); ok {
 		t.Error("InColumn found ghost placement")
 	}
-	if l.DuplicateCells() != 1 {
-		t.Errorf("DuplicateCells = %d, want 1", l.DuplicateCells())
+	if got, ok := l.InColumn(n, ColumnRef{0, 0}); !ok || got != p1 {
+		t.Errorf("InColumn(home column) = %v %v", got, ok)
 	}
-	if who, ok := l.OccupantAt(p2); !ok || who != n {
-		t.Errorf("OccupantAt = %v %v", who, ok)
+	// Release frees the home and the copy.
+	l.Release(n)
+	if _, ok := l.Home(n); ok {
+		t.Error("released operand still has a home")
+	}
+	if _, ok := l.InColumn(n, ColumnRef{0, 2}); ok {
+		t.Error("released operand still has its copy")
+	}
+	if l.FreeRows(ColumnRef{0, 0}) != 4 || l.FreeRows(ColumnRef{0, 2}) != 4 {
+		t.Error("release did not free both cells")
 	}
 }
 
 func TestColumnsUsedSortedAndUtilization(t *testing.T) {
-	l := New(target())
+	l := New(target(), nodes)
 	l.Alloc(1, ColumnRef{1, 2})
 	l.Alloc(2, ColumnRef{0, 1})
 	l.Alloc(3, ColumnRef{0, 1})
@@ -90,24 +110,27 @@ func TestColumnsUsedSortedAndUtilization(t *testing.T) {
 		t.Errorf("ColumnsUsed = %v", cols)
 	}
 	// 3 cells over 2 columns x 4 rows.
-	if got := l.Utilization(); got != 3.0/8.0 {
-		t.Errorf("Utilization = %g, want 0.375", got)
+	if got := float64(cellsUsed(l)) / float64(len(cols)*target().Rows); got != 3.0/8.0 {
+		t.Errorf("utilization = %g, want 0.375", got)
 	}
-	if !l.IsPlaced(1) || l.IsPlaced(99) {
-		t.Error("IsPlaced wrong")
+	if _, ok := l.Home(1); !ok {
+		t.Error("operand 1 not placed")
 	}
-	if l.OperandsPlaced() != 3 || l.CellsUsed() != 3 {
-		t.Error("counts wrong")
+	if _, ok := l.Home(99); ok {
+		t.Error("operand 99 placed")
 	}
 }
 
 func TestEmptyLayoutQueries(t *testing.T) {
-	l := New(target())
+	l := New(target(), nodes)
 	if _, ok := l.Home(5); ok {
 		t.Error("Home on empty layout")
 	}
-	if l.Utilization() != 0 {
-		t.Error("Utilization on empty layout should be 0")
+	if cellsUsed(l) != 0 {
+		t.Error("cells used on empty layout")
+	}
+	if _, ok := l.InColumn(5, ColumnRef{0, 0}); ok {
+		t.Error("InColumn on empty layout")
 	}
 	if len(l.ColumnsUsed()) != 0 {
 		t.Error("ColumnsUsed on empty layout")
@@ -115,7 +138,7 @@ func TestEmptyLayoutQueries(t *testing.T) {
 }
 
 func TestReleaseAndRecycle(t *testing.T) {
-	l := New(target())
+	l := New(target(), nodes)
 	c := ColumnRef{Array: 0, Col: 0}
 	for i := 0; i < 4; i++ {
 		if _, err := l.Alloc(dfg.NodeID(i), c); err != nil {
@@ -142,14 +165,35 @@ func TestReleaseAndRecycle(t *testing.T) {
 	if _, ok := l.Home(2); ok {
 		t.Error("released operand still has a home")
 	}
-	if who, _ := l.OccupantAt(p); who != 9 {
-		t.Error("occupant not updated after recycling")
+	if got, ok := l.InColumn(9, c); !ok || got != p {
+		t.Errorf("recycled operand in column = %v %v, want %v", got, ok, p)
+	}
+	l.Release(2) // already released: no-op
+	if l.FreeRows(c) != 0 {
+		t.Errorf("FreeRows = %d after double release, want 0", l.FreeRows(c))
+	}
+}
+
+func TestAllocRejectsNodeOutsideLayout(t *testing.T) {
+	l := New(target(), 3)
+	c := ColumnRef{Array: 0, Col: 0}
+	for _, n := range []dfg.NodeID{3, -1} {
+		if _, err := l.Alloc(n, c); err == nil {
+			t.Errorf("Alloc accepted operand %d outside a 3-node layout", n)
+		}
+		if _, ok := l.Home(n); ok {
+			t.Errorf("Home found operand %d outside the layout", n)
+		}
+		l.Release(n) // no-op
+	}
+	if l.FreeRows(c) != 4 {
+		t.Errorf("rejected allocations used rows: FreeRows = %d", l.FreeRows(c))
 	}
 }
 
 func TestWearLevelingPolicy(t *testing.T) {
 	// LIFO (default): freed rows are reused immediately.
-	l := New(target())
+	l := New(target(), nodes)
 	c := ColumnRef{Array: 0, Col: 0}
 	l.Alloc(1, c)
 	l.Release(1)
@@ -159,7 +203,7 @@ func TestWearLevelingPolicy(t *testing.T) {
 	}
 
 	// Wear leveling: fresh rows first, freed rows FIFO afterwards.
-	lw := New(target())
+	lw := New(target(), nodes)
 	lw.WearLeveling = true
 	lw.Alloc(1, c) // row 0
 	lw.Release(1)

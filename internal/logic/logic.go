@@ -40,7 +40,7 @@ var opNames = map[Op]string{
 
 var opByName = func() map[string]Op {
 	m := make(map[string]Op, len(opNames))
-	for op, s := range opNames {
+	for op, s := range opNames { //sherlock:allow rangemap (inverts a one-to-one table; order-insensitive)
 		m[s] = op
 	}
 	return m

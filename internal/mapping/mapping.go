@@ -171,7 +171,7 @@ func releaseProg(p isa.Program) {
 }
 
 func newEmitter(g *dfg.Graph, t layout.Target, recycle, wearLevel bool) *emitter {
-	e := &emitter{g: g, lay: layout.New(t)}
+	e := &emitter{g: g, lay: layout.New(t, g.NumNodes())}
 	// Roughly four instructions per op (read, align, write) plus copies;
 	// one up-front allocation in the right ballpark beats letting append
 	// double a multi-megabyte program several times over.

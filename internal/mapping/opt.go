@@ -13,8 +13,34 @@ import (
 // column, and the generated instructions are merged across clusters
 // (Sec. 3.3.3) after a dependence-preserving level schedule.
 func Optimized(g *dfg.Graph, opt Options) (*Result, error) {
-	if err := validateInput(g, opt.Target); err != nil {
+	e, clusters, err := emitOptimized(g, opt)
+	if err != nil {
 		return nil, err
+	}
+	merged, eliminated := MergeInstructions(e.prog)
+	if len(e.prog) > 0 { // merged never aliases a non-empty input
+		releaseProg(e.prog)
+		e.prog = nil
+	}
+	res := &Result{Program: merged, Layout: e.lay, Graph: g}
+	res.Stats = Stats{
+		Copies:       e.copies,
+		ColumnsUsed:  len(e.lay.ColumnsUsed()),
+		Clusters:     clusters,
+		MergedAway:   eliminated,
+		Instructions: len(merged),
+		RecycledRows: e.lay.RecycledAllocs(),
+	}
+	return res, nil
+}
+
+// emitOptimized runs Algorithm 2 up to instruction merging: clustering,
+// column assignment and code generation in priority order. It returns the
+// emitter, which holds the unmerged program and the layout, and the number
+// of clusters.
+func emitOptimized(g *dfg.Graph, opt Options) (*emitter, int, error) {
+	if err := validateInput(g, opt.Target); err != nil {
+		return nil, 0, err
 	}
 	t := opt.Target
 	operands := len(g.Operands())
@@ -22,10 +48,10 @@ func Optimized(g *dfg.Graph, opt Options) (*Result, error) {
 
 	clusters, err := findClusters(g, opt, t.Rows, k)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if len(clusters) > t.Arrays*t.Cols {
-		return nil, fmt.Errorf("mapping: %d clusters exceed the target's %d columns",
+		return nil, 0, fmt.Errorf("mapping: %d clusters exceed the target's %d columns",
 			len(clusters), t.Arrays*t.Cols)
 	}
 
@@ -34,7 +60,7 @@ func Optimized(g *dfg.Graph, opt Options) (*Result, error) {
 	for i, ops := range clusters {
 		col, err := columnAt(t, i)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		for _, op := range ops {
 			colOf[op] = col
@@ -77,24 +103,9 @@ func Optimized(g *dfg.Graph, opt Options) (*Result, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-
-	merged, eliminated := MergeInstructions(e.prog)
-	if len(e.prog) > 0 { // merged never aliases a non-empty input
-		releaseProg(e.prog)
-		e.prog = nil
-	}
-	res := &Result{Program: merged, Layout: e.lay, Graph: g}
-	res.Stats = Stats{
-		Copies:       e.copies,
-		ColumnsUsed:  len(e.lay.ColumnsUsed()),
-		Clusters:     len(clusters),
-		MergedAway:   eliminated,
-		Instructions: len(merged),
-		RecycledRows: e.lay.RecycledAllocs(),
-	}
-	return res, nil
+	return e, len(clusters), nil
 }
 
 // Clusters exposes the clustering stage on its own (for inspection, tests

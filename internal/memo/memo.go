@@ -19,6 +19,7 @@ package memo
 
 import (
 	"container/list"
+	"errors"
 	"sync"
 )
 
@@ -82,7 +83,9 @@ func New[K comparable, V any](cfg Config[V]) *Memo[K, V] {
 // cached too: with content-addressed keys the same input deterministically
 // fails the same way). build runs outside the Memo's lock, so builds of
 // distinct keys proceed in parallel and build may reentrantly call Do for a
-// different key.
+// different key. If build panics, the panic continues in the goroutine that
+// ran it, every requester blocked on that build gets an error, and the key
+// is dropped so the next request builds afresh.
 func (m *Memo[K, V]) Do(key K, build func() (V, error)) (V, error) {
 	m.mu.Lock()
 	e, ok := m.entries[key]
@@ -106,7 +109,14 @@ func (m *Memo[K, V]) Do(key K, build func() (V, error)) (V, error) {
 		m.mu.Lock()
 		m.stats.Inflight++
 		m.mu.Unlock()
+		built := false
+		defer func() {
+			if !built {
+				m.abandon(key, e)
+			}
+		}()
 		val, err := build()
+		built = true
 		m.mu.Lock()
 		e.val, e.err = val, err
 		if m.cfg.SizeOf != nil && err == nil {
@@ -126,6 +136,23 @@ func (m *Memo[K, V]) Do(key K, build func() (V, error)) (V, error) {
 		m.mu.Unlock()
 	})
 	return e.val, e.err
+}
+
+// errBuildPanicked is what requesters sharing a build get when that build
+// panicked instead of returning.
+var errBuildPanicked = errors.New("memo: build panicked")
+
+// abandon settles an entry whose build panicked (or exited its
+// goroutine): its waiters get errBuildPanicked, and the key is unmapped so
+// a later request rebuilds instead of sharing the failure.
+func (m *Memo[K, V]) abandon(key K, e *entry[V]) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e.err = errBuildPanicked
+	m.stats.Inflight--
+	if m.entries[key] == e {
+		delete(m.entries, key)
+	}
 }
 
 // Lookup returns the completed value for key without building. In-flight

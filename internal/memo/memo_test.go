@@ -3,6 +3,7 @@ package memo
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -177,5 +178,55 @@ func TestMemoReentrantDo(t *testing.T) {
 	})
 	if err != nil || v != 42 {
 		t.Fatalf("got (%d,%v), want (42,nil)", v, err)
+	}
+}
+
+// TestMemoPanicRebuilds pins what a panicking build leaves behind: the
+// panic reaches the goroutine that ran the build, a requester blocked on
+// that build gets an error instead of a zero value, the key is not cached,
+// Inflight returns to zero, and the next request builds afresh.
+func TestMemoPanicRebuilds(t *testing.T) {
+	m := New[string, *int](Config[*int]{})
+	release := make(chan struct{})
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		m.Do("k", func() (*int, error) {
+			<-release
+			panic("boom")
+		})
+	}()
+	// Queue a second requester on the in-flight build before it panics.
+	waiter := make(chan error, 1)
+	for m.Stats().Inflight == 0 {
+		runtime.Gosched()
+	}
+	go func() {
+		v, err := m.Do("k", func() (*int, error) { t.Error("waiter ran its own build"); return nil, nil })
+		if v != nil {
+			err = fmt.Errorf("waiter got value %v", v)
+		}
+		waiter <- err
+	}()
+	for m.Stats().Coalesced == 0 {
+		runtime.Gosched()
+	}
+	close(release)
+	if r := <-recovered; r != "boom" {
+		t.Fatalf("builder recovered %v, want the build's panic", r)
+	}
+	if err := <-waiter; err == nil {
+		t.Fatal("requester sharing a panicked build got (nil, nil)")
+	}
+	if _, ok := m.Lookup("k"); ok {
+		t.Fatal("panicked build left a cached entry")
+	}
+	if st := m.Stats(); st.Inflight != 0 || st.Entries != 0 {
+		t.Fatalf("after panic: inflight=%d entries=%d, want 0 and 0", st.Inflight, st.Entries)
+	}
+	want := 7
+	v, err := m.Do("k", func() (*int, error) { return &want, nil })
+	if err != nil || v == nil || *v != 7 {
+		t.Fatalf("rebuild after panic = (%v, %v), want (&7, nil)", v, err)
 	}
 }

@@ -63,7 +63,7 @@ func AssessWear(p isa.Program) (WearReport, error) {
 		return rep, nil
 	}
 	cells := make([]CellWear, 0, len(writes))
-	for pl, n := range writes {
+	for pl, n := range writes { //sherlock:allow rangemap (cells are sorted below)
 		cells = append(cells, CellWear{Place: pl, Writes: n})
 	}
 	sort.Slice(cells, func(i, j int) bool {

@@ -107,7 +107,8 @@ func TestHTTPRoundTrip(t *testing.T) {
 }
 
 // TestHTTPErrors pins the failure modes: bad JSON, bad options, compile
-// errors, unknown keys, empty batches, unbound inputs.
+// errors (including an out-of-range MRA fraction), unknown keys, empty
+// batches, unbound inputs.
 func TestHTTPErrors(t *testing.T) {
 	svc := NewService(Config{Window: -1, MaxBatchLanes: 1})
 	srv := httptest.NewServer(NewHandler(svc))
@@ -133,6 +134,13 @@ func TestHTTPErrors(t *testing.T) {
 	}
 	if code := post("/v1/compile", `{"source":"void broken(word a, word *o){ *o = a & ; }"}`); code != http.StatusUnprocessableEntity {
 		t.Fatalf("malformed kernel: %d", code)
+	}
+	// An out-of-range MRA fraction is a compile error, and stays one: the
+	// registry must not be left holding a broken entry for the key.
+	for i := 0; i < 2; i++ {
+		if code := post("/v1/compile", `{"source":"`+kMux+`","options":{"multiRowActivation":true,"mraFraction":2}}`); code != http.StatusUnprocessableEntity {
+			t.Fatalf("mraFraction 2, attempt %d: %d", i, code)
+		}
 	}
 	if code := post("/v1/run", `{"batch":[{"a":true}]}`); code != http.StatusBadRequest {
 		t.Fatalf("run without key or source: %d", code)

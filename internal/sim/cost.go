@@ -56,33 +56,55 @@ func Measure(p isa.Program, m *arraymodel.CostModel) (Cost, error) {
 		if err := in.Validate(); err != nil {
 			return Cost{}, fmt.Errorf("sim: instruction %d (%s): %w", i, in, err)
 		}
+		ns := instrLatency(in, m)
 		switch in.Kind {
 		case isa.KindRead:
-			ns := m.ReadNS(len(in.Rows))
-			pj := m.ReadEnergyPJ(len(in.Cols), len(in.Rows))
 			c.ReadNS += ns
-			c.ReadPJ += pj
+			c.ReadPJ += m.ReadEnergyPJ(len(in.Cols), len(in.Rows))
 		case isa.KindWrite:
 			switch {
 			case in.IsHostWrite():
-				c.HostNS += m.HostWriteNS()
+				c.HostNS += ns
 				c.HostPJ += m.HostWriteEnergyPJ(len(in.Cols))
 			case in.HasSrcArray:
-				c.WriteNS += m.WriteNS() + interArrayBusNS
+				c.WriteNS += ns
 				c.WritePJ += m.WriteEnergyPJ(len(in.Cols)) + interArrayBusPJPerCol*float64(len(in.Cols))
 			default:
-				c.WriteNS += m.WriteNS()
+				c.WriteNS += ns
 				c.WritePJ += m.WriteEnergyPJ(len(in.Cols))
 			}
 		case isa.KindShift:
-			c.ShiftNS += m.ShiftNS(in.ShiftBy)
+			c.ShiftNS += ns
 			c.ShiftPJ += m.ShiftEnergyPJ(in.ShiftBy)
 		case isa.KindNot:
-			c.NotNS += m.NotNS()
+			c.NotNS += ns
 			c.NotPJ += m.NotEnergyPJ(len(in.Cols))
 		}
 	}
 	c.LatencyNS = c.ReadNS + c.WriteNS + c.ShiftNS + c.NotNS + c.HostNS
 	c.EnergyPJ = c.ReadPJ + c.WritePJ + c.ShiftPJ + c.NotPJ + c.HostPJ
 	return c, nil
+}
+
+// instrLatency is the one per-kind latency table: Measure sums it per
+// instruction class, Schedule places each instruction for that long.
+func instrLatency(in isa.Instruction, m *arraymodel.CostModel) float64 {
+	switch in.Kind {
+	case isa.KindRead:
+		return m.ReadNS(len(in.Rows))
+	case isa.KindWrite:
+		switch {
+		case in.IsHostWrite():
+			return m.HostWriteNS()
+		case in.HasSrcArray:
+			return m.WriteNS() + interArrayBusNS
+		default:
+			return m.WriteNS()
+		}
+	case isa.KindShift:
+		return m.ShiftNS(in.ShiftBy)
+	case isa.KindNot:
+		return m.NotNS()
+	}
+	panic(fmt.Sprintf("sim: latency of invalid instruction %v", in.Kind))
 }

@@ -123,24 +123,3 @@ func WriteTimelineCSV(w io.Writer, events []Event) error {
 	}
 	return nil
 }
-
-func instrLatency(in isa.Instruction, m *arraymodel.CostModel) float64 {
-	switch in.Kind {
-	case isa.KindRead:
-		return m.ReadNS(len(in.Rows))
-	case isa.KindWrite:
-		switch {
-		case in.IsHostWrite():
-			return m.HostWriteNS()
-		case in.HasSrcArray:
-			return m.WriteNS() + interArrayBusNS
-		default:
-			return m.WriteNS()
-		}
-	case isa.KindShift:
-		return m.ShiftNS(in.ShiftBy)
-	case isa.KindNot:
-		return m.NotNS()
-	}
-	panic(fmt.Sprintf("sim: latency of invalid instruction %v", in.Kind))
-}

@@ -145,7 +145,7 @@ func TestTowerCircuitIsSmall(t *testing.T) {
 	if st.Ops > 250 {
 		t.Errorf("tower S-box uses %d ops, expected a compact circuit (<250)", st.Ops)
 	}
-	t.Logf("tower S-box: %d ops (%v)", st.Ops, dfg.SortedOpCounts(st.ByOp))
+	t.Logf("tower S-box: %d ops (%v)", st.Ops, st.ByOp)
 }
 
 func TestBuildWithSynthesizedSBoxStillCorrect(t *testing.T) {

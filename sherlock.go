@@ -127,7 +127,8 @@ type Options struct {
 	// the technology's row-activation limit.
 	MultiRowActivation bool
 	// MRAFraction is the fraction of fusion opportunities taken when
-	// MultiRowActivation is set (default 1).
+	// MultiRowActivation is set (default 1); a value outside [0,1] is a
+	// compile error.
 	MRAFraction float64
 	// NANDLowering rewrites XOR/OR into NAND/NOT form — the reliable
 	// configuration for STT-MRAM (Fig. 6b).
@@ -204,16 +205,17 @@ type Compiled struct {
 	Resynth *ResynthStats
 
 	opts   Options
-	result *mapping.Result
+	target Target
 	source *Graph // the pre-transform kernel, equivalence ground truth
 
 	bindOnce  sync.Once
 	bindNames []string // host-write bindings, in first-use order
 
-	outOnce   sync.Once
+	// The kernel outputs, resolved against the mapper's layout at compile
+	// time so the layout itself is not retained.
 	outNames  []string // kernel outputs, in Graph.Outputs() order
 	outPlaces []Place  // readout cell of each output, same order
-	outErr    error
+	outErr    error    // why an output has no cell, if one has none
 
 	// The program decodes once per Compiled into one chunked stream
 	// (internal/sim) at the auto chunk width. Every packed execution — Run,
@@ -240,6 +242,9 @@ func CompileC(src string, opts Options) (*Compiled, error) {
 // CompileGraph maps an already-built DFG.
 func CompileGraph(g *Graph, opts Options) (*Compiled, error) {
 	opts = opts.withDefaults()
+	if opts.MultiRowActivation && !(opts.MRAFraction >= 0 && opts.MRAFraction <= 1) {
+		return nil, fmt.Errorf("sherlock: MRAFraction %g outside [0,1]", opts.MRAFraction)
+	}
 	params := device.ParamsFor(opts.Tech)
 
 	// mapGraph is the full lower half of the pipeline — graph transforms
@@ -298,13 +303,21 @@ func CompileGraph(g *Graph, opts Options) (*Compiled, error) {
 	// res.Graph is the graph the mapper actually placed (post-transform,
 	// post-resynthesis); output NodeIDs must resolve against it.
 	c := &Compiled{
-		Graph:   res.Graph,
-		Program: res.Program,
-		Stats:   res.Stats,
-		Resynth: rstats,
-		opts:    opts,
-		result:  res,
-		source:  g,
+		Graph:    res.Graph,
+		Program:  res.Program,
+		Stats:    res.Stats,
+		Resynth:  rstats,
+		opts:     opts,
+		target:   res.Layout.Target(),
+		source:   g,
+		outNames: res.Graph.OutputNames(),
+	}
+	outs := res.Graph.Outputs()
+	c.outPlaces = make([]Place, len(outs))
+	for i, out := range outs {
+		if c.outPlaces[i], c.outErr = res.OutputPlace(out); c.outErr != nil {
+			break
+		}
 	}
 	if opts.VerifyEmitted {
 		if rep := c.Verify(); len(rep.Findings) != 0 {
@@ -330,7 +343,7 @@ func CompileGraph(g *Graph, opts Options) (*Compiled, error) {
 // write-after-write shadows, unused inputs, leftover row-buffer values).
 // A correct mapper produces zero findings; see internal/verify.
 func (c *Compiled) Verify() *VerifyReport {
-	return verify.ProgramOpts(c.Program, c.result.Layout.Target(), verify.Options{
+	return verify.ProgramOpts(c.Program, c.target, verify.Options{
 		MaxRows: device.ParamsFor(c.opts.Tech).MaxRows,
 	})
 }
@@ -354,7 +367,7 @@ func (c *Compiled) VerifyEquivalence() (*EquivalenceReport, error) {
 	for i := range outNames {
 		outs[i] = verify.OutputAt{Name: outNames[i], Place: outPlaces[i]}
 	}
-	return verify.EquivalentOpts(c.Program, c.result.Layout.Target(), c.source, outs, verify.EquivOptions{})
+	return verify.EquivalentOpts(c.Program, c.target, c.source, outs, verify.EquivOptions{})
 }
 
 // Cost measures the program under the compiled technology and array size,
@@ -409,7 +422,7 @@ func (c *Compiled) Run(inputs map[string]bool) (map[string]bool, error) {
 // than the executor's geometric-skip streams, and existing seeds pin
 // existing patterns.
 func (c *Compiled) RunWithFaults(inputs map[string]bool, seed int64) (map[string]bool, int, error) {
-	m := sim.NewMachine(c.result.Layout.Target())
+	m := sim.NewMachine(c.target)
 	m.EnableFaultInjection(device.ParamsFor(c.opts.Tech), seed)
 	if err := m.Run(c.Program, inputs); err != nil {
 		return nil, 0, err
@@ -511,7 +524,7 @@ func (c *Compiled) OutputNames() []string { return c.Graph.OutputNames() }
 // the stream is built once, on first use.
 func (c *Compiled) stream() (*sim.Stream, error) {
 	c.streamOnce.Do(func() {
-		ex, err := sim.Predecode(c.Program, c.result.Layout.Target())
+		ex, err := sim.Predecode(c.Program, c.target)
 		if err != nil {
 			c.streamErr = err
 			return
@@ -531,22 +544,9 @@ func (c *Compiled) inputNames() []string {
 	return c.bindNames
 }
 
-// outputs resolves the kernel outputs' names and readout cells once per
-// Compiled.
+// outputs returns the kernel outputs' names and readout cells, or the error
+// that left an output without a cell.
 func (c *Compiled) outputs() ([]string, []Place, error) {
-	c.outOnce.Do(func() {
-		outs := c.Graph.Outputs()
-		c.outNames = c.Graph.OutputNames()
-		c.outPlaces = make([]Place, len(outs))
-		for i, out := range outs {
-			p, err := c.result.OutputPlace(out)
-			if err != nil {
-				c.outErr = err
-				return
-			}
-			c.outPlaces[i] = p
-		}
-	})
 	return c.outNames, c.outPlaces, c.outErr
 }
 

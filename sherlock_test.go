@@ -2,6 +2,7 @@ package sherlock
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -194,6 +195,23 @@ func TestOptionDefaults(t *testing.T) {
 	}
 	if MapperNaive.String() == MapperOptimized.String() {
 		t.Error("mapper names collide")
+	}
+}
+
+// TestCompileRejectsBadMRAFraction checks that an MRA fraction outside
+// [0,1] (or NaN) is a compile error rather than a panic in the fusion
+// pass, and that the fraction is not read with MRA off.
+func TestCompileRejectsBadMRAFraction(t *testing.T) {
+	b := NewBuilder()
+	x, y, z := b.Input("x"), b.Input("y"), b.Input("z")
+	b.Output("o", b.And(b.And(x, y), z))
+	for _, f := range []float64{-0.5, 2, math.NaN()} {
+		if _, err := CompileGraph(b.Graph(), Options{Tech: ReRAM, ArraySize: 16, MultiRowActivation: true, MRAFraction: f}); err == nil {
+			t.Errorf("MRAFraction %g compiled", f)
+		}
+		if _, err := CompileGraph(b.Graph(), Options{Tech: ReRAM, ArraySize: 16, MRAFraction: f}); err != nil {
+			t.Errorf("MRAFraction %g with MRA off: %v", f, err)
+		}
 	}
 }
 
