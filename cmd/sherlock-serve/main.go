@@ -33,7 +33,8 @@ import (
 func main() {
 	addr := flag.String("addr", ":8437", "listen address")
 	window := flag.Duration("window", 200*time.Microsecond,
-		"batch window: how long the first request of a batch waits for company (negative disables the timer)")
+		"batch window: how long the first request of a batch waits for company; it opens only while a kernel's requests "+
+			"arrive denser than one per window, and an idle process wakes its timers at 1ms granularity (negative disables the timer)")
 	batchLanes := flag.Int("batch-lanes", 256, "lane count that flushes a batch (256 = one full executor pass)")
 	maxPrograms := flag.Int("max-programs", 1024, "compiled programs kept resident (0 = unbounded)")
 	maxBytes := flag.Int64("max-bytes", 256<<20, "estimated resident program bytes (0 = unbounded)")

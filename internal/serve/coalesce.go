@@ -17,8 +17,12 @@ import (
 // (size trigger) or when the window timer expires after the first pending
 // request (time trigger), whichever comes first. Requests at or above the
 // batch threshold bypass the queue entirely — they already fill their own
-// passes. Merged batches and direct requests alike run as one
-// RunBatchWords call on the program's shared stream, which runs
+// passes. The window opens only while small requests arrive denser than
+// one per window: a moving average of the gap between arrivals decides,
+// and when it exceeds the window and nothing is pending, the request runs
+// at once as a one-request pass, since no companion is expected to join
+// it. Merged batches, one-request passes and direct requests alike run as
+// one RunBatchWords call on the program's shared stream, which runs
 // concurrent calls in parallel and spreads a wide request's chunks over
 // its shards.
 //
@@ -44,6 +48,13 @@ type Coalescer struct {
 	timer        *time.Timer
 	stats        CoalescerStats
 
+	// Arrival-rate estimate (see sparseLocked): the clock, which tests
+	// replace, the previous small-request arrival (zero before the first)
+	// and the moving average of the gap between such arrivals.
+	now    func() time.Time
+	last   time.Time
+	avgGap time.Duration
+
 	scratch sync.Pool // *flushScratch
 }
 
@@ -51,7 +62,7 @@ type Coalescer struct {
 type CoalescerStats struct {
 	Requests     int64 // admitted requests
 	Lanes        int64 // admitted lanes (vectors)
-	Flushes      int64 // merged batches executed
+	Flushes      int64 // merged batches executed, one-request passes run at once included
 	SizeFlushes  int64 // flushed by the lane threshold
 	TimerFlushes int64 // flushed by the window timer
 	DirectRuns   int64 // oversized requests that bypassed the queue
@@ -104,9 +115,12 @@ type CoalescerConfig struct {
 	// full executor pass).
 	MaxBatchLanes int
 	// Window bounds how long the first request of a batch may wait for
-	// company (default 200µs). Zero selects the default; a negative window
-	// disables the timer — batches then flush only on size or Flush(),
-	// which is what the deterministic tests use.
+	// company (default 200µs). It opens only while requests arrive denser
+	// than one per window; sparser traffic runs each request at once. Below
+	// 1ms the bound is loose: an idle Go process wakes its timers at 1ms
+	// granularity. Zero selects the default; a negative window disables
+	// the timer and the arrival-rate rule — batches then flush only on size
+	// or Flush(), which is what the deterministic tests use.
 	Window time.Duration
 	// Parallelism caps each RunBatchWords call's concurrent chunks.
 	Parallelism int
@@ -141,6 +155,7 @@ func NewCoalescer(c *sherlock.Compiled, cfg CoalescerConfig) *Coalescer {
 		parallelism: cfg.Parallelism,
 		limiter:     cfg.Limiter,
 		hub:         cfg.hub,
+		now:         time.Now, //sherlock:allow walltime (times when a batch runs; never what it computes)
 	}
 }
 
@@ -193,18 +208,24 @@ func (q *Coalescer) Submit(in []uint64, lanes int, out []uint64) ([]uint64, erro
 		out = out[:need]
 	}
 
-	if lanes >= q.maxLanes {
-		// Already fills its own pass(es): run directly, no window latency.
-		q.mu.Lock()
-		q.addLocked(CoalescerStats{Requests: 1, Lanes: int64(lanes), DirectRuns: 1, StreamRuns: 1})
+	q.mu.Lock()
+	if direct := lanes >= q.maxLanes; direct || q.sparseLocked() {
+		// A request that already fills its own pass(es) runs directly; one
+		// that expects no companion inside the window runs as a
+		// one-request pass. Either way, waiting would only add latency.
+		d := CoalescerStats{Requests: 1, Lanes: int64(lanes)}
+		if direct {
+			d.DirectRuns, d.StreamRuns = 1, 1
+		} else {
+			d.Flushes, d.MaxBatch = 1, int64(lanes)
+		}
+		q.addLocked(d)
 		q.mu.Unlock()
 		q.limiter.Acquire()
 		defer q.limiter.Release()
 		return q.c.RunBatchWords(in, lanes, out, q.parallelism)
 	}
-
 	req := &pendingReq{in: in, lanes: lanes, out: out, done: make(chan error, 1)}
-	q.mu.Lock()
 	q.addLocked(CoalescerStats{Requests: 1, Lanes: int64(lanes)})
 	q.pending = append(q.pending, req)
 	q.pendingLanes += lanes
@@ -227,6 +248,32 @@ func (q *Coalescer) Submit(in []uint64, lanes int, out []uint64) ([]uint64, erro
 		return nil, err
 	}
 	return req.out, nil
+}
+
+// gapClampWindows bounds each gap sample, in windows, before it folds into
+// the average: a stall or an idle spell between bursts then lifts the
+// average by at most half a window, and a sparse spell's average falls
+// back under the window within 11 dense arrivals ((7/8)^11 < 1/4).
+const gapClampWindows = 4
+
+// sparseLocked folds this small-request arrival into the moving average of
+// the gap between arrivals (one eighth of each clamped sample) and reports
+// whether the request should run at once: nothing is pending and the
+// average gap exceeds the window, so fewer than one companion is expected
+// before the timer fires. The first arrival counts as sparse. With the
+// timer disabled it reports false and samples no clock. Callers hold q.mu.
+func (q *Coalescer) sparseLocked() bool {
+	if q.window < 0 {
+		return false
+	}
+	now, limit := q.now(), gapClampWindows*q.window
+	if q.last.IsZero() {
+		q.avgGap = limit
+	} else {
+		q.avgGap += (min(now.Sub(q.last), limit) - q.avgGap) / 8
+	}
+	q.last = now
+	return len(q.pending) == 0 && q.avgGap > q.window
 }
 
 // PendingLanes reports the lanes currently waiting in the window (tests

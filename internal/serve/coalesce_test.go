@@ -137,11 +137,13 @@ func TestCoalesceSizeTrigger(t *testing.T) {
 	}
 }
 
-// TestCoalesceTimerFlush submits one lonely request and relies on the
-// window timer to push it out.
+// TestCoalesceTimerFlush gives the coalescer a dense arrival history, so
+// that the arrival-rate rule no longer runs requests at once, and then
+// relies on the window timer to push a lone request out.
 func TestCoalesceTimerFlush(t *testing.T) {
 	e := mustCompile(t, kParity)
 	q := NewCoalescer(e.Compiled, CoalescerConfig{Window: time.Millisecond})
+	q.now = (&stepClock{step: 10 * time.Microsecond}).now
 	rng := rand.New(rand.NewSource(5))
 	batch := randBatch(rng, e.InputNames, 8)
 	in, _ := packWords(e.InputNames, batch)
@@ -149,14 +151,241 @@ func TestCoalesceTimerFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := q.Submit(in, 8, nil) // blocks until the timer fires
+	// Requests 10µs apart: the first few run at once while the average
+	// gap falls, the first one that finds the window open waits for it.
+	for i := 1; q.Stats().TimerFlushes == 0; i++ {
+		if i > maxRunsAtOnce+1 {
+			t.Fatalf("%d requests 10µs apart and none waited for the timer", maxRunsAtOnce+1)
+		}
+		got, err := q.Submit(in, 8, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkWordsEqual(t, fmt.Sprintf("request %d", i), got, want)
+	}
+	st := q.Stats()
+	if st.TimerFlushes != 1 || st.SizeFlushes != 0 {
+		t.Fatalf("timer flushes = %d, size flushes = %d; want 1 and 0", st.TimerFlushes, st.SizeFlushes)
+	}
+}
+
+// maxRunsAtOnce bounds how many dense requests in a row the arrival-rate
+// rule can still run at once: the clamped average starts at most
+// gapClampWindows = 4 windows high, and 11 dense samples take it under
+// the window ((7/8)^11 < 1/4).
+const maxRunsAtOnce = 11
+
+// stepClock is a deterministic clock for the arrival-rate rule: every read
+// advances it by step. The coalescer reads it once per small request,
+// under its lock.
+type stepClock struct {
+	t    time.Time
+	step time.Duration
+}
+
+func (c *stepClock) now() time.Time {
+	c.t = c.t.Add(c.step)
+	return c.t
+}
+
+type submitResult struct {
+	out []uint64
+	err error
+}
+
+// probe submits one request from its own goroutine, with nothing else
+// pending, and waits until it either completes or joins the window. It
+// reports whether the request ran at once and returns the channel its
+// result arrives on. The timer must be out of reach (an hour-long window,
+// or none): then only the arrival-rate rule completes a request unflushed.
+func probe(q *Coalescer, in []uint64, lanes int) (bool, <-chan submitResult) {
+	done := make(chan submitResult, 1)
+	go func() {
+		out, err := q.Submit(in, lanes, nil)
+		done <- submitResult{out, err}
+	}()
+	for {
+		if len(done) > 0 {
+			return true, done
+		}
+		if q.PendingLanes() > 0 {
+			return false, done
+		}
+		time.Sleep(10 * time.Microsecond)
+	}
+}
+
+// arrive probes one request, pushes it out with Flush if it joined the
+// window, checks its output against want and reports whether it ran at
+// once.
+func arrive(t *testing.T, q *Coalescer, in []uint64, lanes int, want []uint64) bool {
+	t.Helper()
+	ranAtOnce, done := probe(q, in, lanes)
+	if !ranAtOnce {
+		q.Flush()
+	}
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	checkWordsEqual(t, "arrival", r.out, want)
+	return ranAtOnce
+}
+
+// TestCoalesceLoneRequestRunsAtOnce: the first request a coalescer sees
+// counts as sparse traffic, so it runs at once as a one-request pass — a
+// flush, neither size- nor timer-triggered nor direct — instead of
+// waiting out the window, with RunBatchWords' exact bits.
+func TestCoalesceLoneRequestRunsAtOnce(t *testing.T) {
+	e := mustCompile(t, kParity)
+	q := NewCoalescer(e.Compiled, CoalescerConfig{}) // default 200µs window
+	rng := rand.New(rand.NewSource(6))
+	in, _ := packWords(e.InputNames, randBatch(rng, e.InputNames, 8))
+	want, err := e.Compiled.RunBatchWords(in, 8, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkWordsEqual(t, "timer-flushed request", got, want)
+	got, err := q.Submit(in, 8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkWordsEqual(t, "lone request", got, want)
 	st := q.Stats()
-	if st.TimerFlushes != 1 {
-		t.Fatalf("timer flushes = %d, want 1", st.TimerFlushes)
+	if st.Flushes != 1 || st.TimerFlushes != 0 || st.SizeFlushes != 0 || st.DirectRuns != 0 || st.MaxBatch != 8 {
+		t.Fatalf("stats %+v; want 1 flush of 8 lanes, no size, timer or direct run", st)
+	}
+}
+
+// TestCoalesceDenseArrivalsBatch: requests 10µs apart under a window far
+// longer than that stop running at once after maxRunsAtOnce arrivals, and
+// from then on join the window and flush on size.
+func TestCoalesceDenseArrivalsBatch(t *testing.T) {
+	e := mustCompile(t, kStage)
+	q := NewCoalescer(e.Compiled, CoalescerConfig{MaxBatchLanes: 256, Window: time.Hour})
+	q.now = (&stepClock{step: 10 * time.Microsecond}).now
+	rng := rand.New(rand.NewSource(7))
+	const lanes = 32
+	type req struct{ in, want []uint64 }
+	reqs := make([]req, 8)
+	for i := range reqs {
+		reqs[i].in, _ = packWords(e.InputNames, randBatch(rng, e.InputNames, lanes))
+		var err error
+		if reqs[i].want, err = e.Compiled.RunBatchWords(reqs[i].in, lanes, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Probe with the first request until one queues, and leave that one
+	// pending as the batch's first member.
+	runsAtOnce := 0
+	var first <-chan submitResult
+	for {
+		ranAtOnce, done := probe(q, reqs[0].in, lanes)
+		if !ranAtOnce {
+			first = done
+			break
+		}
+		r := <-done
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		checkWordsEqual(t, "request run at once", r.out, reqs[0].want)
+		if runsAtOnce++; runsAtOnce > maxRunsAtOnce {
+			t.Fatalf("%d dense requests ran at once, want at most %d", runsAtOnce, maxRunsAtOnce)
+		}
+	}
+	// The first arrival starts the average at the clamp, 4 windows; gaps
+	// of 10µs against an hour take exactly 11 arrivals to bring it under.
+	if runsAtOnce != maxRunsAtOnce {
+		t.Fatalf("%d dense requests ran at once before one queued, want %d", runsAtOnce, maxRunsAtOnce)
+	}
+
+	// Seven more 32-lane companions fill the pass: a size flush.
+	results := make([]submitResult, len(reqs))
+	var wg sync.WaitGroup
+	for i := 1; i < len(reqs); i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i].out, results[i].err = q.Submit(reqs[i].in, lanes, nil)
+		}(i)
+	}
+	wg.Wait()
+	results[0] = <-first
+	for i, r := range results {
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		checkWordsEqual(t, fmt.Sprintf("batched request %d", i), r.out, reqs[i].want)
+	}
+	st := q.Stats()
+	if st.SizeFlushes != 1 || st.TimerFlushes != 0 || st.Flushes != int64(runsAtOnce)+1 || st.MaxBatch != 256 {
+		t.Fatalf("stats %+v after %d runs at once; want one 256-lane size flush on top", st, runsAtOnce)
+	}
+}
+
+// TestCoalesceStallDecays: an idle spell of arbitrary length between two
+// bursts weighs in at most gapClampWindows windows per arrival, so once
+// dense arrivals resume, batching returns within maxRunsAtOnce of them.
+func TestCoalesceStallDecays(t *testing.T) {
+	e := mustCompile(t, kMux)
+	q := NewCoalescer(e.Compiled, CoalescerConfig{MaxBatchLanes: 4096, Window: time.Hour})
+	clock := &stepClock{step: 10 * time.Microsecond}
+	q.now = clock.now
+	rng := rand.New(rand.NewSource(8))
+	in, _ := packWords(e.InputNames, randBatch(rng, e.InputNames, 4))
+	want, err := e.Compiled.RunBatchWords(in, 4, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// burst sends dense requests until one joins the window and returns
+	// how many ran at once before it.
+	burst := func(label string) int {
+		t.Helper()
+		n := 0
+		for arrive(t, q, in, 4, want) {
+			if n++; n > maxRunsAtOnce {
+				t.Fatalf("%s: %d dense requests ran at once, want at most %d", label, n, maxRunsAtOnce)
+			}
+		}
+		return n
+	}
+	burst("first burst")
+	clock.step = 1000 * time.Hour // an idle spell: every arrival is sparse
+	for i := 0; i < 20; i++ {
+		arrive(t, q, in, 4, want)
+	}
+	if !arrive(t, q, in, 4, want) {
+		t.Fatal("a request after 20 idle hour-windows joined the window")
+	}
+	clock.step = 10 * time.Microsecond
+	t.Logf("batching returned after %d dense arrivals", burst("after the idle spell"))
+}
+
+// TestCoalesceNegativeWindowNeverRunsAtOnce: with the timer disabled the
+// arrival-rate rule is off — however sparse the traffic, every request
+// waits for a size trigger or Flush, and the clock is never read.
+func TestCoalesceNegativeWindowNeverRunsAtOnce(t *testing.T) {
+	e := mustCompile(t, kMaj)
+	q := NewCoalescer(e.Compiled, CoalescerConfig{Window: -1})
+	clock := &stepClock{step: 1000 * time.Hour}
+	q.now = clock.now
+	rng := rand.New(rand.NewSource(10))
+	for i := 0; i < 5; i++ {
+		in, _ := packWords(e.InputNames, randBatch(rng, e.InputNames, 16))
+		want, err := e.Compiled.RunBatchWords(in, 16, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if arrive(t, q, in, 16, want) {
+			t.Fatalf("request %d ran at once with the timer disabled", i)
+		}
+	}
+	if !clock.t.IsZero() {
+		t.Fatal("the clock was read with the timer disabled")
+	}
+	if st := q.Stats(); st.Flushes != 5 || st.TimerFlushes != 0 || st.SizeFlushes != 0 {
+		t.Fatalf("stats %+v; want 5 flushes, all by Flush", st)
 	}
 }
 

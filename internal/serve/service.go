@@ -18,7 +18,10 @@ type Config struct {
 	// Registry bounds the compile cache.
 	Registry RegistryConfig
 	// Window is the coalescing batch window (see CoalescerConfig.Window:
-	// 0 selects the 200µs default, negative disables the timer).
+	// 0 selects the 200µs default, negative disables the timer). It opens
+	// only while a kernel's requests arrive denser than one per window;
+	// sparser requests run at once. Below 1ms the bound is loose: an idle
+	// Go process wakes its timers at 1ms granularity.
 	Window time.Duration
 	// MaxBatchLanes is the size flush trigger (default 256 = one pass).
 	MaxBatchLanes int
