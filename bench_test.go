@@ -319,35 +319,6 @@ func BenchmarkScheduleReadyQueue(b *testing.B) {
 	b.ReportMetric(float64(len(res.Program)-merged), "instr_after")
 }
 
-func BenchmarkSimulatorBitweaving(b *testing.B) {
-	cfg := bitweaving.Config{Bits: 16, Segments: 8}
-	g, err := bitweaving.Build(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	t := layout.Target{Arrays: 1, Rows: 256, Cols: 256}
-	res, err := mapping.Optimized(g, mapping.Options{Target: t})
-	if err != nil {
-		b.Fatal(err)
-	}
-	values := make([]uint64, cfg.Segments)
-	for i := range values {
-		values[i] = uint64(i * 7919)
-	}
-	in, err := bitweaving.Assignments(cfg, values, 100, 60000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := sim.NewMachine(t)
-		if err := m.Run(res.Program, in); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(res.Program)), "instructions")
-}
-
 func BenchmarkSBoxTowerConstruction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		bld := sherlock.NewBuilder()

@@ -1,5 +1,6 @@
 // Command sherlock-sim executes a CIM instruction program (as emitted by
-// the sherlock compiler, Fig. 4 format) bit-exactly on the array simulator.
+// the sherlock compiler, Fig. 4 format) bit-exactly on one lane of the
+// pre-decoded executor (internal/sim).
 //
 // Usage:
 //
@@ -11,11 +12,15 @@
 // reads back cells given as array:col:row triples; without -dump every
 // written cell is printed. -verify statically checks the program first and
 // exits with the full diagnostic list instead of failing mid-execution.
+// -faults flips sense decisions with their -tech decision-failure
+// probability, seeded by -seed, and reports how many it flipped.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -29,47 +34,69 @@ import (
 )
 
 func main() {
-	var (
-		progPath = flag.String("prog", "", "program file (required)")
-		target   = flag.String("target", "4x512x512", "fabric as ARRAYSxROWSxCOLS")
-		inputs   = flag.String("inputs", "", "comma-separated name=0|1 bindings")
-		dump     = flag.String("dump", "", "comma-separated array:col:row cells to read back")
-		doVerify = flag.Bool("verify", false, "statically verify the program before executing; exit with all diagnostics on failure")
-		faults   = flag.Bool("faults", false, "enable decision-failure fault injection")
-		tech     = flag.String("tech", "STT-MRAM", "technology for fault injection")
-		seed     = flag.Int64("seed", 1, "fault-injection seed")
+	switch err := run(os.Args[1:], os.Stdout); {
+	case err == nil:
+	case errors.Is(err, errUsage):
+		os.Exit(2) // the flag set has already printed the problem and usage
+	default:
+		fmt.Fprintln(os.Stderr, "sherlock-sim:", err)
+		os.Exit(1)
+	}
+}
 
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
+// errUsage reports a command line the flag set rejected.
+var errUsage = errors.New("usage")
+
+// run is the whole command: it parses args, executes the program and
+// writes the report to stdout. Static diagnostics go to stderr.
+func run(args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("sherlock-sim", flag.ContinueOnError)
+	var (
+		progPath = fs.String("prog", "", "program file (required)")
+		target   = fs.String("target", "4x512x512", "fabric as ARRAYSxROWSxCOLS")
+		inputs   = fs.String("inputs", "", "comma-separated name=0|1 bindings")
+		dump     = fs.String("dump", "", "comma-separated array:col:row cells to read back")
+		doVerify = fs.Bool("verify", false, "statically verify the program before executing; exit with all diagnostics on failure")
+		faults   = fs.Bool("faults", false, "enable decision-failure fault injection")
+		tech     = fs.String("tech", "STT-MRAM", "technology for fault injection")
+		seed     = fs.Int64("seed", 1, "fault-injection seed")
+
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProfile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return errUsage
+	}
 	stopProf, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer func() {
-		if err := stopProf(); err != nil {
-			fatal(err)
+		if perr := stopProf(); err == nil {
+			err = perr
 		}
 	}()
 	if *progPath == "" {
-		fatal(fmt.Errorf("-prog is required"))
+		return fmt.Errorf("-prog is required")
 	}
 	text, err := os.ReadFile(*progPath)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	prog, err := isa.ParseProgram(string(text))
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	t, err := parseTarget(*target)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	binds, err := parseInputs(*inputs)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	// With -verify, surface every static diagnostic up front and refuse to
@@ -81,99 +108,62 @@ func main() {
 			fmt.Fprintf(os.Stderr, "sherlock-sim: %v\n", f)
 		}
 		if !rep.OK() {
-			fatal(fmt.Errorf("program failed static verification; not executing"))
+			return fmt.Errorf("program failed static verification; not executing")
 		}
 	}
 
-	// Fault-free runs go through the pre-decoded executor (the production
-	// path of the facade and the experiment campaigns); fault injection
-	// keeps the scalar interpreting machine, whose per-decision Bernoulli
-	// sampler pins the historical per-seed fault patterns.
-	var readOut func(layout.Place) (bool, error)
-	var cellAt func(layout.Place) (bool, bool)
-	var faultCount int
+	// One lane of the pre-decoded executor, the engine every other path
+	// runs on; -faults arms its geometric-skip sampler for the pass.
+	ex, err := sim.Predecode(prog, t)
+	if err != nil {
+		return err
+	}
+	m := ex.NewMachine(1)
+	m.Reset(1)
 	if *faults {
-		m := sim.NewMachine(t)
 		tv, err := device.ParseTechnology(*tech)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		m.EnableFaultInjection(device.ParamsFor(tv), *seed)
-		if err := m.Run(prog, binds); err != nil {
-			fatal(err)
-		}
-		faultCount = m.FaultCount()
-		readOut = m.ReadOut
-		cellAt = m.Cell
-	} else {
-		ex, err := sim.Predecode(prog, t)
-		if err != nil {
-			fatal(err)
-		}
-		m := ex.NewMachine(1)
-		m.Reset(1)
-		words := make(map[string]uint64, len(binds))
-		for n, v := range binds {
-			if v {
-				words[n] = 1
-			} else {
-				words[n] = 0
-			}
-		}
-		if err := m.RunMap(words); err != nil {
-			fatal(err)
-		}
-		readOut = func(p layout.Place) (bool, error) {
-			w, err := m.ReadOutWord(p, 0)
-			return w&1 == 1, err
-		}
-		cellAt = func(p layout.Place) (bool, bool) {
-			if !ex.Defined(p) {
-				return false, false
-			}
-			w, err := m.ReadOutWord(p, 0)
-			return w&1 == 1, err == nil
-		}
+	}
+	if err := m.RunMap(binds); err != nil {
+		return err
 	}
 	st := prog.ComputeStats()
-	fmt.Printf("# executed %d instructions (%d CIM reads, %d writes, %d host writes, %d shifts, %d nots)\n",
+	fmt.Fprintf(stdout, "# executed %d instructions (%d CIM reads, %d writes, %d host writes, %d shifts, %d nots)\n",
 		st.Total, st.CIMReads, st.Writes, st.HostWrites, st.Shifts, st.Nots)
-	if faultCount > 0 {
-		fmt.Printf("# %d sense faults injected\n", faultCount)
+	if n := m.FaultCount(0); n > 0 {
+		fmt.Fprintf(stdout, "# %d sense faults injected\n", n)
 	}
 
 	if *dump != "" {
 		for _, spec := range strings.Split(*dump, ",") {
 			p, err := parsePlace(spec)
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			v, err := readOut(p)
+			w, err := m.ReadOutWord(p, 0)
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Printf("%s = %s\n", p, bit(v))
+			fmt.Fprintf(stdout, "%s = %d\n", p, w&1)
 		}
-		return
+		return nil
 	}
 	// Dump every defined cell, in address order.
 	for a := 0; a < t.Arrays; a++ {
 		for c := 0; c < t.Cols; c++ {
 			for r := 0; r < t.Rows; r++ {
 				p := layout.Place{Array: a, Col: c, Row: r}
-				if v, ok := cellAt(p); ok {
-					fmt.Printf("%s = %s\n", p, bit(v))
+				if ex.Defined(p) {
+					w, _ := m.ReadOutWord(p, 0) // defined cells always read out
+					fmt.Fprintf(stdout, "%s = %d\n", p, w&1)
 				}
 			}
 		}
 	}
-}
-
-func bit(v bool) string {
-	if v {
-		return "1"
-	}
-	return "0"
+	return nil
 }
 
 func parseTarget(s string) (layout.Target, error) {
@@ -193,8 +183,9 @@ func parseTarget(s string) (layout.Target, error) {
 	return t, t.Validate()
 }
 
-func parseInputs(s string) (map[string]bool, error) {
-	out := make(map[string]bool)
+// parseInputs reads name=0|1 bindings as one-lane input words.
+func parseInputs(s string) (map[string]uint64, error) {
+	out := make(map[string]uint64)
 	if s == "" {
 		return out, nil
 	}
@@ -206,9 +197,9 @@ func parseInputs(s string) (map[string]bool, error) {
 		}
 		switch kv[eq+1:] {
 		case "0":
-			out[kv[:eq]] = false
+			out[kv[:eq]] = 0
 		case "1":
-			out[kv[:eq]] = true
+			out[kv[:eq]] = 1
 		default:
 			return nil, fmt.Errorf("input %q must be 0 or 1", kv)
 		}
@@ -230,9 +221,4 @@ func parsePlace(s string) (layout.Place, error) {
 		nums[i] = v
 	}
 	return layout.Place{Array: nums[0], Col: nums[1], Row: nums[2]}, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "sherlock-sim:", err)
-	os.Exit(1)
 }

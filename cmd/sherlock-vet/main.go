@@ -244,7 +244,11 @@ func (p *checkedPkg) collectAllows(file *ast.File) {
 		for _, c := range cg.List {
 			text := strings.TrimPrefix(c.Text, "//")
 			rest, ok := strings.CutPrefix(strings.TrimSpace(text), "sherlock:allow")
-			if !ok {
+			// The check list is the first word; anything after it is
+			// commentary, commas included:
+			// `//sherlock:allow rangemap,walltime (sorted below, once)`.
+			fields := strings.Fields(rest)
+			if !ok || len(fields) == 0 {
 				continue
 			}
 			pos := p.fset.Position(c.Pos())
@@ -258,11 +262,9 @@ func (p *checkedPkg) collectAllows(file *ast.File) {
 				set = map[string]bool{}
 				lines[pos.Line] = set
 			}
-			for _, check := range strings.Split(rest, ",") {
-				// Anything after whitespace within a piece is commentary:
-				// `//sherlock:allow rangemap (sorted below)`.
-				if fields := strings.Fields(check); len(fields) > 0 {
-					set[fields[0]] = true
+			for _, check := range strings.Split(fields[0], ",") {
+				if check != "" {
+					set[check] = true
 				}
 			}
 		}

@@ -147,6 +147,23 @@ func f(m map[string]int) (s int) {
 	}
 }
 
+func TestVetAllowCommaInReason(t *testing.T) {
+	// A comma in the commentary is not a check separator: the words after
+	// it must neither count as a check nor be reported as stale.
+	code, out := vetSrc(t, `package pkg
+func f(m map[string]int) (s int) {
+	//sherlock:allow rangemap (sum is commutative, order-insensitive)
+	for _, v := range m {
+		s += v
+	}
+	return
+}
+`)
+	if code != 0 {
+		t.Fatalf("comma in the reason broke the directive: code=%d out=%q", code, out)
+	}
+}
+
 func TestVetStaleAllowCannotExcuseItself(t *testing.T) {
 	code, out := vetSrc(t, `package pkg
 //sherlock:allow staleallow

@@ -186,8 +186,8 @@ func TestRunStreamMatchesGoldenModel(t *testing.T) {
 	}
 }
 
-// TestRunStreamMatchesScalar cross-checks the stream against the scalar
-// per-lane Machine path — the slowest, simplest oracle.
+// TestRunStreamMatchesScalar cross-checks the stream lane by lane against
+// the kernel's one-vector DFG evaluation — the slowest, simplest oracle.
 func TestRunStreamMatchesScalar(t *testing.T) {
 	c, err := CompileC(demoKernel, Options{Tech: ReRAM, ArraySize: 128})
 	if err != nil {
@@ -211,14 +211,14 @@ func TestRunStreamMatchesScalar(t *testing.T) {
 		for s, n := range names {
 			iv[n] = in[s*W+l/64]>>uint(l%64)&1 == 1
 		}
-		want, err := c.Run(iv)
+		want, err := c.Evaluate(iv)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for o, n := range outNames {
 			got := sink.Out[o*W+l/64]>>uint(l%64)&1 == 1
 			if got != want[n] {
-				t.Fatalf("lane %d output %q: stream=%v scalar=%v", l, n, got, want[n])
+				t.Fatalf("lane %d output %q: stream=%v evaluate=%v", l, n, got, want[n])
 			}
 		}
 	}

@@ -160,7 +160,8 @@ func mcShard(ex *sim.Exec, g *dfg.Graph, places []layout.Place, slots []int, par
 	for start := 0; start < runs; start += sim.WordLanes {
 		n := min(sim.WordLanes, runs-start)
 		// Lane l is run start+l; inputs draw run-major, matching the
-		// scalar path's per-run draw order. Reset clears the input block.
+		// original interpreting shards' per-run draw order. Reset clears
+		// the input block.
 		m.Reset(n)
 		clear(goldenIn)
 		for l := 0; l < n; l++ {

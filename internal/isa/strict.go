@@ -7,8 +7,9 @@ package isa
 // first-use order — and its error text. Programs are lane-uniform and
 // branch-free, so the lattice is exact. Consumers plug in as a Visitor:
 // sim.Predecode emits micro-ops, verify.ProgramOpts tracks liveness, and
-// verify.EquivalentOpts builds AIG literals. sim.Machine re-implements the
-// rules concretely as the independent reference the fuzzers compare against.
+// verify.EquivalentOpts builds AIG literals. The test-only reference
+// interpreter simref.Machine re-implements the rules concretely, and the
+// differential tests compare the walk's consumers against it.
 
 import (
 	"fmt"

@@ -9,7 +9,7 @@ import (
 	"sherlock/internal/layout"
 	"sherlock/internal/logic"
 	"sherlock/internal/reliability"
-	"sherlock/internal/sim"
+	"sherlock/internal/sim/simref"
 )
 
 // randomGraph builds a random DAG with the given number of inputs and ops.
@@ -85,7 +85,7 @@ func verifyMapping(t *testing.T, g *dfg.Graph, m mapper, target layout.Target, t
 		if err != nil {
 			t.Fatal(err)
 		}
-		mach := sim.NewMachine(target)
+		mach := simref.NewMachine(target)
 		if err := mach.Run(res.Program, inputs); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -319,11 +319,11 @@ func TestMergeInstructionsSemanticsPreserved(t *testing.T) {
 		for _, name := range g.InputNames() {
 			inputs[name] = rng.Intn(2) == 1
 		}
-		m1 := sim.NewMachine(target)
+		m1 := simref.NewMachine(target)
 		if err := m1.Run(res.Program, inputs); err != nil {
 			t.Fatal(err)
 		}
-		m2 := sim.NewMachine(target)
+		m2 := simref.NewMachine(target)
 		if err := m2.Run(merged, inputs); err != nil {
 			t.Fatal(err)
 		}

@@ -9,7 +9,7 @@ import (
 	"sherlock/internal/isa"
 	"sherlock/internal/layout"
 	"sherlock/internal/logic"
-	"sherlock/internal/sim"
+	"sherlock/internal/sim/simref"
 	"sherlock/internal/verify"
 )
 
@@ -178,9 +178,9 @@ func diffRun(target layout.Target, res *Result, merged isa.Program, words map[st
 	for name, w := range words { //sherlock:allow rangemap
 		bits[name] = w&1 == 1
 	}
-	m1 := sim.NewMachine(target)
+	m1 := simref.NewMachine(target)
 	err1 := m1.Run(res.Program, bits)
-	m2 := sim.NewMachine(target)
+	m2 := simref.NewMachine(target)
 	err2 := m2.Run(merged, bits)
 	if (err1 == nil) != (err2 == nil) {
 		return fmt.Errorf("strict-mode disagreement: unmerged err=%v, merged err=%v", err1, err2)

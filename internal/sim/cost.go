@@ -1,3 +1,12 @@
+// Package sim executes generated CIM programs bit-exactly and accounts for
+// their latency, energy, and reliability — the role the extended gem5 plays
+// in the paper's toolchain.
+//
+// One engine executes: Predecode validates a program once in strict mode
+// (reading a never-defined cell or buffer bit is an error) and its Exec runs
+// on ExecMachines, 64 input vectors per lane word, optionally flipping sense
+// decisions with their decision-failure probability to check the analytical
+// P_app model. Tests hold it against the reference interpreter in simref.
 package sim
 
 import (

@@ -313,9 +313,9 @@ func (m *ExecMachine) shift(array, dist int) {
 }
 
 // RunMap is Run with name-keyed input words (bit l = lane l's value): it
-// performs the unbound-input check the scalar Machine does at the point of
-// use, reporting the first instruction that needs a missing name with the
-// same message. One word addresses at most 64 lanes, so the machine must be
+// performs the unbound-input check at the point of use, reporting the first
+// instruction that needs a missing name with the reference interpreter's
+// message. One word addresses at most 64 lanes, so the machine must be
 // Reset to <= 64.
 func (m *ExecMachine) RunMap(inputs map[string]uint64) error {
 	if m.lanes > WordLanes {

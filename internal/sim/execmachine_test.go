@@ -8,6 +8,7 @@ import (
 	"sherlock/internal/device"
 	"sherlock/internal/isa"
 	"sherlock/internal/layout"
+	"sherlock/internal/reliability"
 )
 
 // fillBlock writes each input word into every block word of its slot.
@@ -22,39 +23,67 @@ func fillBlock(ex *Exec, m *ExecMachine, words map[string]uint64) []uint64 {
 	return in
 }
 
-// TestGeometricSkipMatchesBernoulli validates the executor's geometric-skip
-// fault sampler against the scalar machine's per-decision Bernoulli draws:
-// over many runs at a high P_DF, the per-run flip-count histograms must
-// agree (two-sample chi-squared), as must the means. It runs at block width
-// 1 and at 4, the width the facade's batch passes use. All streams are
-// seeded, so the test is deterministic.
-func TestGeometricSkipMatchesBernoulli(t *testing.T) {
-	prog, target, scalarIn, laneIn := faultProgram(t)
+// TestGeometricSkipMatchesBinomial checks the executor's geometric-skip
+// fault sampler against the exact distribution it must produce: each run of
+// faultProgram makes 32 independent XOR2 sense decisions, so its flip count
+// is Binomial(32, P_DF), with the count and P_DF read from
+// reliability.Assess, the model P_app comes from. Over 4,096 runs at a high
+// P_DF, the per-run flip-count histogram must pass a chi-squared
+// goodness-of-fit test and the mean flip count a 4-sigma test. It runs at
+// block width 1 and at 4, the width the facade's batch passes use. All
+// streams are seeded, so the test is deterministic.
+func TestGeometricSkipMatchesBinomial(t *testing.T) {
+	prog, target, _, laneIn := faultProgram(t)
 	params := device.ParamsFor(device.STTMRAM)
 	params.RelSDLRS, params.RelSDHRS = 0.5, 0.5 // inflate P_DF into testable range
+	rep, err := reliability.Assess(prog, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Classes) != 1 {
+		t.Fatalf("faultProgram has %d sense classes, want 1", len(rep.Classes))
+	}
+	n, pdf := rep.Classes[0].Count, rep.Classes[0].PDF
+	if n != 32 || !(pdf > 0.05 && pdf < 0.95) {
+		t.Fatalf("class %+v: want 32 decisions at a testable P_DF", rep.Classes[0])
+	}
 
 	const runs = 4096
-	const maxBin = 10
-	var scalarHist [maxBin + 1]int
-	scalarTotal := 0
-	for i := 0; i < runs; i++ {
-		m := NewMachine(target)
-		m.EnableFaultInjection(params, int64(1000+i))
-		if err := m.Run(prog, scalarIn); err != nil {
-			t.Fatal(err)
+	// Expected counts per flip count k, merged left to right into bins that
+	// each expect at least 5 runs (the last bin absorbs any short tail).
+	binOf := make([]int, n+1)
+	var want []float64
+	lp, _ := math.Lgamma(float64(n + 1))
+	for k := 0; k <= n; k++ {
+		lk, _ := math.Lgamma(float64(k + 1))
+		lnk, _ := math.Lgamma(float64(n - k + 1))
+		e := runs * math.Exp(lp-lk-lnk+float64(k)*math.Log(pdf)+float64(n-k)*math.Log1p(-pdf))
+		if len(want) == 0 || want[len(want)-1] >= 5 {
+			want = append(want, 0)
 		}
-		f := m.FaultCount()
-		scalarTotal += f
-		scalarHist[min(f, maxBin)]++
+		want[len(want)-1] += e
+		binOf[k] = len(want) - 1
 	}
+	if last := len(want) - 1; last > 0 && want[last] < 5 {
+		want[last-1] += want[last]
+		want = want[:last]
+		for k := range binOf {
+			binOf[k] = min(binOf[k], last-1)
+		}
+	}
+	df := len(want) - 1 // P_DF is given, not fitted
+	if df < 5 {
+		t.Fatalf("chi-squared degenerate: %d bins", len(want))
+	}
+	crit := float64(df) + 4*math.Sqrt(2*float64(df)) // ~p<0.001 upper tail
 
 	ex, err := Predecode(prog, target)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, blockWords := range []int{1, 4} {
-		var laneHist [maxBin + 1]int
-		laneTotal := 0
+		got := make([]float64, len(want))
+		total := 0
 		m := ex.NewMachine(blockWords)
 		lanes := m.MaxLanes()
 		for pass := 0; pass < runs/lanes; pass++ {
@@ -65,38 +94,25 @@ func TestGeometricSkipMatchesBernoulli(t *testing.T) {
 			}
 			for l := 0; l < lanes; l++ {
 				f := m.FaultCount(l)
-				laneTotal += f
-				laneHist[min(f, maxBin)]++
+				total += f
+				got[binOf[f]]++
 			}
 		}
 
-		if scalarTotal == 0 || laneTotal == 0 {
-			t.Fatalf("B=%d: degenerate sampler totals: scalar %d, exec %d", blockWords, scalarTotal, laneTotal)
+		mean, sd := float64(n)*pdf, math.Sqrt(float64(n)*pdf*(1-pdf)/runs)
+		if dev := float64(total)/runs - mean; math.Abs(dev) > 4*sd {
+			t.Errorf("B=%d: mean flips %.3f, want %.3f ± %.3f", blockWords, float64(total)/runs, mean, 4*sd)
 		}
-		meanS := float64(scalarTotal) / runs
-		meanL := float64(laneTotal) / runs
-		if rel := math.Abs(meanS-meanL) / meanS; rel > 0.10 {
-			t.Errorf("B=%d: mean flips diverge: scalar %.3f vs exec %.3f (%.1f%%)", blockWords, meanS, meanL, 100*rel)
+		chi2 := 0.0
+		for i := range want {
+			d := got[i] - want[i]
+			chi2 += d * d / want[i]
 		}
-
-		// Two-sample chi-squared with equal sample sizes.
-		chi2, df := 0.0, -1
-		for i := range scalarHist {
-			o1, o2 := float64(scalarHist[i]), float64(laneHist[i])
-			if o1+o2 < 8 {
-				continue // too sparse to contribute meaningfully
-			}
-			d := o1 - o2
-			chi2 += d * d / (o1 + o2)
-			df++
-		}
-		if df < 2 {
-			t.Fatalf("B=%d: chi-squared degenerate: df=%d (hists %v vs %v)", blockWords, df, scalarHist, laneHist)
-		}
-		crit := float64(df) + 4*math.Sqrt(2*float64(df)) // ~p<0.001 upper tail
+		t.Logf("B=%d: mean flips %.3f (want %.3f), chi2=%.2f (crit %.2f, df %d)",
+			blockWords, float64(total)/runs, mean, chi2, crit, df)
 		if chi2 > crit {
-			t.Errorf("B=%d: chi2=%.2f exceeds crit=%.2f (df=%d)\nscalar %v\nexec   %v",
-				blockWords, chi2, crit, df, scalarHist, laneHist)
+			t.Errorf("B=%d: chi2=%.2f exceeds crit=%.2f (df=%d)\nwant %.1f\ngot  %v",
+				blockWords, chi2, crit, df, want, got)
 		}
 	}
 }

@@ -18,7 +18,8 @@ package sim
 // executor therefore carries no defined masks at all — which also makes
 // ExecMachine.Reset O(1) in the cell count. The static verifier and the
 // translation validator run the same walk, so all three agree on every
-// verdict and error by construction; sim.Machine is the independent check.
+// verdict and error by construction; the test-only reference interpreter
+// simref.Machine is the independent check.
 
 import (
 	"sherlock/internal/isa"
@@ -54,8 +55,8 @@ type microOp struct {
 }
 
 // bindUse records one host-write column in (instruction, column) order, so
-// the unbound-input check can report the same instruction the scalar
-// Machine would have failed at.
+// the unbound-input check can report the same instruction the reference
+// interpreter (simref.Machine) fails at.
 type bindUse struct {
 	instr int32
 	slot  int32
@@ -86,9 +87,9 @@ type Exec struct {
 }
 
 // Predecode validates the program against the target and compiles it into
-// an executor. Every strict-mode error the scalar Machine could raise at run
-// time — except unbound inputs, which depend on the caller's binding map —
-// is raised here instead, with an identical message.
+// an executor. Every strict-mode error an interpreting machine would raise at
+// run time — except unbound inputs, which depend on the caller's binding map —
+// is raised here instead, with the reference interpreter's message.
 func Predecode(p isa.Program, t layout.Target) (*Exec, error) {
 	w, err := isa.NewWalker(p, t)
 	if err != nil {

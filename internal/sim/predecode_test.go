@@ -10,6 +10,7 @@ import (
 	"sherlock/internal/device"
 	"sherlock/internal/isa"
 	"sherlock/internal/layout"
+	"sherlock/internal/sim/simref"
 	"sherlock/internal/verify"
 )
 
@@ -31,9 +32,10 @@ func execRunWords(t *testing.T, prog isa.Program, target layout.Target, lanes in
 }
 
 // TestExecMatchesScalarAndLaneFuzz is the differential oracle between the
-// pre-decoded executor and the independent scalar Machine: random programs
-// with random inputs must read out identically on EVERY lane of one
-// ExecMachine pass and one Machine run per lane — at every lane count
+// pre-decoded executor and the independent reference interpreter
+// (simref.Machine): random programs with random inputs must read out
+// identically on EVERY lane of one ExecMachine pass and one Machine run per
+// lane — at every lane count
 // including partial words, and with garbage in the dead high lanes.
 func TestExecMatchesScalarAndLaneFuzz(t *testing.T) {
 	target := layout.Target{Arrays: 2, Rows: 6, Cols: 5}
@@ -78,7 +80,7 @@ func TestExecMatchesScalarAndLaneFuzz(t *testing.T) {
 			t.Fatalf("trial %d: exec: %v\nprogram:\n%s", trial, err, pm.prog)
 		}
 		for l := 0; l < lanes; l++ {
-			sm := NewMachine(target)
+			sm := simref.NewMachine(target)
 			if err := sm.Run(pm.prog, perLane[l]); err != nil {
 				t.Fatalf("trial %d lane %d: scalar machine: %v\nprogram:\n%s", trial, l, err, pm.prog)
 			}
@@ -162,7 +164,7 @@ func TestExecBlockMatchesSingleWord(t *testing.T) {
 }
 
 // TestExecStrictErrorsMatchScalar asserts the decode/run split raises
-// exactly what the scalar Machine raises, message-identical. Static
+// exactly what the reference Machine raises, message-identical. Static
 // program errors move to Predecode and unbound inputs stay at run time, but
 // the text the caller sees is the same either way.
 func TestExecStrictErrorsMatchScalar(t *testing.T) {
@@ -189,7 +191,7 @@ func TestExecStrictErrorsMatchScalar(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: parse: %v", tc.name, err)
 		}
-		sm := NewMachine(target)
+		sm := simref.NewMachine(target)
 		errS := sm.Run(prog, tc.inputs)
 		for _, lanes := range []int{64, 5} {
 			words := make(map[string]uint64)

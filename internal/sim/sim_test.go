@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -9,26 +10,71 @@ import (
 	"sherlock/internal/isa"
 	"sherlock/internal/layout"
 	"sherlock/internal/logic"
+	"sherlock/internal/sim/simref"
 )
 
 func smallTarget() layout.Target { return layout.Target{Arrays: 2, Rows: 8, Cols: 4} }
 
-func run(t *testing.T, text string, inputs map[string]bool) *Machine {
+// ran is one program run on one lane of the pre-decoded executor and on
+// the reference interpreter, so each hand-checked value holds both.
+type ran struct {
+	em  *ExecMachine
+	ref *simref.Machine
+}
+
+// runBoth executes the program on both engines. Their errors must agree
+// word for word; the executor's is returned.
+func runBoth(t *testing.T, text string, inputs map[string]bool) (ran, error) {
 	t.Helper()
 	p, err := isa.ParseProgram(text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewMachine(smallTarget())
-	if err := m.Run(p, inputs); err != nil {
-		t.Fatal(err)
+	r := ran{ref: simref.NewMachine(smallTarget())}
+	errRef := r.ref.Run(p, inputs)
+	words := make(map[string]uint64, len(inputs))
+	for n, v := range inputs { //sherlock:allow rangemap (each name owns its entry)
+		words[n] = 0
+		if v {
+			words[n] = 1
+		}
 	}
-	return m
+	ex, err := Predecode(p, smallTarget())
+	if err == nil {
+		r.em = ex.NewMachine(1)
+		r.em.Reset(1)
+		err = r.em.RunMap(words)
+	}
+	if fmt.Sprint(err) != fmt.Sprint(errRef) {
+		t.Fatalf("executor error %v, reference error %v", err, errRef)
+	}
+	return r, err
 }
 
-func cell(t *testing.T, m *Machine, a, c, r int) bool {
+func run(t *testing.T, text string, inputs map[string]bool) ran {
 	t.Helper()
-	v, err := m.ReadOut(layout.Place{Array: a, Col: c, Row: r})
+	r, err := runBoth(t, text, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// readOut reads one cell from both engines, failing the test if they
+// disagree on its value or on whether it is defined.
+func readOut(t *testing.T, m ran, p layout.Place) (bool, error) {
+	t.Helper()
+	want, errRef := m.ref.ReadOut(p)
+	w, err := m.em.ReadOutWord(p, 0)
+	if got := w&1 == 1; got != want || fmt.Sprint(err) != fmt.Sprint(errRef) {
+		t.Fatalf("cell %v: executor (%v, %v), reference (%v, %v)", p, got, err, want, errRef)
+	}
+	return want, err
+}
+
+func cell(t *testing.T, m ran, a, c, r int) bool {
+	t.Helper()
+	v, err := readOut(t, m, layout.Place{Array: a, Col: c, Row: r})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +86,7 @@ func TestHostWriteAndReadback(t *testing.T) {
 	if !cell(t, m, 0, 0, 3) || cell(t, m, 0, 2, 3) {
 		t.Error("host write stored wrong bits")
 	}
-	if _, err := m.ReadOut(layout.Place{Array: 0, Col: 1, Row: 3}); err == nil {
+	if _, err := readOut(t, m, layout.Place{Array: 0, Col: 1, Row: 3}); err == nil {
 		t.Error("readout of untouched cell should fail")
 	}
 }
@@ -111,9 +157,7 @@ Read [0][3][0]
 Shift [0] R[2]
 Write [0][3][1]
 `
-	p, _ := isa.ParseProgram(text)
-	m := NewMachine(smallTarget())
-	err := m.Run(p, map[string]bool{"x": true})
+	_, err := runBoth(t, text, map[string]bool{"x": true})
 	if err == nil || !strings.Contains(err.Error(), "undefined") {
 		t.Errorf("want undefined-bit error, got %v", err)
 	}
@@ -132,18 +176,14 @@ Write [1][1][5] @[0]
 }
 
 func TestStrictModeCatchesUndefinedRead(t *testing.T) {
-	p, _ := isa.ParseProgram("Read [0][0][0]")
-	m := NewMachine(smallTarget())
-	if err := m.Run(p, nil); err == nil {
+	if _, err := runBoth(t, "Read [0][0][0]", nil); err == nil {
 		t.Error("read of undefined cell accepted")
 	}
 }
 
 func TestRunErrorsIdentifyInstruction(t *testing.T) {
 	text := "Write [0][0][0] <x>\nRead [0][0][7]\n"
-	p, _ := isa.ParseProgram(text)
-	m := NewMachine(smallTarget())
-	err := m.Run(p, map[string]bool{"x": true})
+	_, err := runBoth(t, text, map[string]bool{"x": true})
 	if err == nil || !strings.Contains(err.Error(), "instruction 1") {
 		t.Errorf("error %v should blame instruction 1", err)
 	}
@@ -155,21 +195,14 @@ func TestRunRejectsOutOfTargetAddresses(t *testing.T) {
 		"Write [0][0][99] <x>",
 		"Read [0][0][0,99] [AND]",
 	} {
-		p, err := isa.ParseProgram(text)
-		if err != nil {
-			t.Fatalf("parse %q: %v", text, err)
-		}
-		m := NewMachine(smallTarget())
-		if err := m.Run(p, map[string]bool{"x": true}); err == nil {
+		if _, err := runBoth(t, text, map[string]bool{"x": true}); err == nil {
 			t.Errorf("accepted %q", text)
 		}
 	}
 }
 
 func TestUnboundInputFails(t *testing.T) {
-	p, _ := isa.ParseProgram("Write [0][0][0] <mystery>")
-	m := NewMachine(smallTarget())
-	if err := m.Run(p, map[string]bool{}); err == nil {
+	if _, err := runBoth(t, "Write [0][0][0] <mystery>", map[string]bool{}); err == nil {
 		t.Error("unbound input accepted")
 	}
 }
@@ -183,33 +216,39 @@ func TestFaultInjectionFlipsEventually(t *testing.T) {
 		{Kind: isa.KindRead, Cols: []int{0}, Rows: []int{0, 1}, Ops: []logic.Op{logic.Xor}},
 		{Kind: isa.KindWrite, Cols: []int{0}, Rows: []int{2}},
 	}
-	in := map[string]bool{"a": true, "b": false}
+	in := map[string]uint64{"a": 1, "b": 0}
 	params := device.ParamsFor(device.STTMRAM)
 	// Inflate variability to make flips frequent enough for a fast test.
 	params.RelSDLRS, params.RelSDHRS = 0.5, 0.5
+	ex, err := Predecode(prog, smallTarget())
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	flips := 0
 	for seed := int64(0); seed < 300; seed++ {
-		m := NewMachine(smallTarget())
+		m := ex.NewMachine(1)
+		m.Reset(1)
 		m.EnableFaultInjection(params, seed)
-		if err := m.Run(prog, in); err != nil {
+		if err := m.RunMap(in); err != nil {
 			t.Fatal(err)
 		}
-		flips += m.FaultCount()
+		flips += m.FaultCount(0)
 	}
 	if flips == 0 {
 		t.Error("no faults injected over 300 noisy trials")
 	}
 
-	m := NewMachine(smallTarget())
-	if err := m.Run(prog, in); err != nil {
+	m := ex.NewMachine(1)
+	m.Reset(1)
+	if err := m.RunMap(in); err != nil {
 		t.Fatal(err)
 	}
-	if m.FaultCount() != 0 {
+	if m.FaultCount(0) != 0 {
 		t.Error("faults without fault injection enabled")
 	}
-	if v := cell(t, m, 0, 0, 2); !v {
-		t.Error("fault-free XOR wrong")
+	if w, err := m.ReadOutWord(layout.Place{Array: 0, Col: 0, Row: 2}, 0); err != nil || w != 1 {
+		t.Errorf("fault-free XOR read %#x (%v), want 1", w, err)
 	}
 }
 

@@ -1,9 +1,9 @@
 package sim
 
 // Differential fuzz between the strict walk (isa.Walker, which drives both
-// the static verifier in internal/verify and Predecode) and the scalar
-// Machine, which implements the same strict-mode semantics independently.
-// This file is the proof they agree:
+// the static verifier in internal/verify and Predecode) and the reference
+// interpreter simref.Machine, which implements the same strict-mode
+// semantics independently. This file is the proof they agree:
 //
 //   - verifier accepts  ⇔  Predecode succeeds  ⇔  Machine runs strict-clean
 //     (with every host input bound), and
@@ -22,6 +22,7 @@ import (
 	"sherlock/internal/isa"
 	"sherlock/internal/layout"
 	"sherlock/internal/logic"
+	"sherlock/internal/sim/simref"
 	"sherlock/internal/verify"
 )
 
@@ -102,7 +103,7 @@ func mutate(rng *rand.Rand, prog isa.Program, t layout.Target) isa.Program {
 // TestVerifierMatchesStrictModeOnMutants is the reject-side oracle: for
 // thousands of mutated programs, the static verdict must equal the dynamic
 // one — same accept/reject decision and byte-identical first error from
-// Predecode, the verifier and the scalar Machine.
+// Predecode, the verifier and the reference Machine.
 func TestVerifierMatchesStrictModeOnMutants(t *testing.T) {
 	target := layout.Target{Arrays: 2, Rows: 6, Cols: 5}
 	rng := rand.New(rand.NewSource(202))
@@ -125,13 +126,13 @@ func TestVerifierMatchesStrictModeOnMutants(t *testing.T) {
 			}
 		}
 
-		// The scalar machine must agree too, with every input bound so
+		// The reference machine must agree too, with every input bound so
 		// the only failures left are the statically decidable ones.
 		inputs := make(map[string]bool)
 		for _, n := range prog.Bindings() {
 			inputs[n] = rng.Intn(2) == 1
 		}
-		errM := NewMachine(target).Run(prog, inputs)
+		errM := simref.NewMachine(target).Run(prog, inputs)
 		if (errM == nil) != (errV == nil) {
 			t.Fatalf("trial %d: machine err %v, verifier err %v\nprogram:\n%s", trial, errM, errV, prog)
 		}

@@ -10,7 +10,7 @@ import (
 	"sherlock/internal/layout"
 	"sherlock/internal/logic"
 	"sherlock/internal/mapping"
-	"sherlock/internal/sim"
+	"sherlock/internal/sim/simref"
 	"sherlock/internal/workloads/bitweaving"
 	"sherlock/internal/workloads/sobel"
 )
@@ -230,7 +230,7 @@ func TestEquivalentMutations(t *testing.T) {
 			if kout[m.Output] != m.Want {
 				t.Fatalf("%s: kernel computes %v at the counterexample, report claims %v", name, kout[m.Output], m.Want)
 			}
-			machine := sim.NewMachine(c.target)
+			machine := simref.NewMachine(c.target)
 			if rerr := machine.Run(p, m.Assignment); rerr != nil {
 				t.Fatalf("%s: mutated program does not execute at the counterexample: %v", name, rerr)
 			}

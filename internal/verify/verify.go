@@ -6,9 +6,10 @@
 // interpretation over a two-point definedness lattice (undefined ⊑ defined)
 // per cell and per row-buffer bit that sim.Predecode also decodes from, so
 // the verifier, the pre-decoder and the translation validator reach every
-// verdict, and word every error, identically by construction. sim.Machine
-// re-implements the rules concretely and independently; the differential
-// fuzz in internal/sim checks the walk against it. Because programs are
+// verdict, and word every error, identically by construction. The test-only
+// reference interpreter simref.Machine re-implements the rules concretely
+// and independently; the differential fuzz in internal/sim checks the walk
+// against it. Because programs are
 // lane-uniform and branch-free, the lattice is exact, not an approximation:
 // a read is def-before-use for every input iff it is def-before-use
 // abstractly.
@@ -141,7 +142,7 @@ func (r *Report) Clean() bool {
 }
 
 // Err returns the first error-severity finding formatted exactly as
-// sim.Predecode (and sim.Machine) would have failed, or nil.
+// sim.Predecode (and the reference simref.Machine) would have failed, or nil.
 func (r *Report) Err() error {
 	for _, f := range r.Findings {
 		if f.Severity != SevError {

@@ -7,7 +7,7 @@ import (
 	"sherlock/internal/dfg"
 	"sherlock/internal/layout"
 	"sherlock/internal/mapping"
-	"sherlock/internal/sim"
+	"sherlock/internal/sim/simref"
 )
 
 func randomRows(rng *rand.Rand, cfg Config, density float64) [][]bool {
@@ -127,7 +127,7 @@ func TestEndToEndOnCIM(t *testing.T) {
 		for trial := 0; trial < 4; trial++ {
 			rows := randomRows(rng, cfg, 0.4)
 			in, _ := Assignments(cfg, rows)
-			m := sim.NewMachine(target)
+			m := simref.NewMachine(target)
 			if err := m.Run(res.Program, in); err != nil {
 				t.Fatal(err)
 			}

@@ -221,6 +221,7 @@ type Compiled struct {
 	// (internal/sim) at the auto chunk width. Every packed execution — Run,
 	// RunBatch, RunBatchWords and Streamer.Run — runs on it, concurrently.
 	streamOnce sync.Once
+	streamExec *sim.Exec // the decoded program; RunWithFaults arms its own machine
 	streamVal  *sim.Stream
 	streamErr  error
 	chunkWords int // forced chunk width in words, 0 = auto (tests)
@@ -415,16 +416,23 @@ func (c *Compiled) Run(inputs map[string]bool) (map[string]bool, error) {
 
 // RunWithFaults executes with fault injection enabled: every sense decision
 // flips with its decision-failure probability. It additionally returns how
-// many faults were injected.
-//
-// Fault injection runs on the scalar machine: its per-decision Bernoulli
-// draws are a different (equally valid) sampling of the same distribution
-// than the executor's geometric-skip streams, and existing seeds pin
-// existing patterns.
+// many faults were injected. The run is one lane of the pre-decoded
+// executor, on a fresh machine armed with the geometric-skip sampler.
 func (c *Compiled) RunWithFaults(inputs map[string]bool, seed int64) (map[string]bool, int, error) {
-	m := sim.NewMachine(c.target)
+	if _, err := c.stream(); err != nil {
+		return nil, 0, err
+	}
+	words := make(map[string]uint64, len(inputs))
+	for name, v := range inputs { //sherlock:allow rangemap (each name owns its entry)
+		words[name] = 0
+		if v {
+			words[name] = 1
+		}
+	}
+	m := c.streamExec.NewMachine(1)
+	m.Reset(1)
 	m.EnableFaultInjection(device.ParamsFor(c.opts.Tech), seed)
-	if err := m.Run(c.Program, inputs); err != nil {
+	if err := m.RunMap(words); err != nil {
 		return nil, 0, err
 	}
 	outNames, outPlaces, err := c.outputs()
@@ -433,13 +441,13 @@ func (c *Compiled) RunWithFaults(inputs map[string]bool, seed int64) (map[string
 	}
 	outs := make(map[string]bool, len(outNames))
 	for i, p := range outPlaces {
-		v, err := m.ReadOut(p)
+		w, err := m.ReadOutWord(p, 0)
 		if err != nil {
 			return nil, 0, err
 		}
-		outs[outNames[i]] = v
+		outs[outNames[i]] = w&1 == 1
 	}
-	return outs, m.FaultCount(), nil
+	return outs, m.FaultCount(0), nil
 }
 
 // RunBatch executes the program once per input assignment: the maps pack
@@ -529,6 +537,7 @@ func (c *Compiled) stream() (*sim.Stream, error) {
 			c.streamErr = err
 			return
 		}
+		c.streamExec = ex
 		c.streamVal, c.streamErr = sim.NewStream(ex, sim.StreamConfig{BlockWords: c.chunkWords})
 	})
 	return c.streamVal, c.streamErr

@@ -153,9 +153,12 @@ func TestNANDLoweringOption(t *testing.T) {
 	}
 }
 
+// TestRunWithFaultsInjects checks the shipped fault sampler against the
+// shipped reliability model: over 4,000 seeds of a 31-XOR chain on
+// STT-MRAM, the total injected faults must fall inside a 99% interval
+// around the expected total 4,000·Σ Count·P_DF that reliability.Assess
+// gives. A run that injects no fault must compute the kernel exactly.
 func TestRunWithFaultsInjects(t *testing.T) {
-	// A long XOR chain on (noisier-than-default) STT-MRAM should see at
-	// least one injected fault across many seeds.
 	b := NewBuilder()
 	b.DisableCSE = true
 	acc := b.Input("i0")
@@ -171,16 +174,40 @@ func TestRunWithFaultsInjects(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		in[fmt.Sprintf("i%d", i)] = i%3 == 0
 	}
+	want, err := c.Evaluate(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := c.Reliability()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seeds = 4000
+	// Each run's flip count is a sum of independent Bernoulli decisions,
+	// so the total over the seeds has this mean and variance.
+	mean, variance := 0.0, 0.0
+	for _, cl := range rep.Classes {
+		mean += seeds * float64(cl.Count) * cl.PDF
+		variance += seeds * float64(cl.Count) * cl.PDF * (1 - cl.PDF)
+	}
+	if mean < 100 {
+		t.Fatalf("expected total %.1f faults is too small for a normal interval", mean)
+	}
 	total := 0
-	for seed := int64(0); seed < 200; seed++ {
-		_, n, err := c.RunWithFaults(in, seed)
+	for seed := int64(0); seed < seeds; seed++ {
+		got, n, err := c.RunWithFaults(in, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		total += n
+		if n == 0 && got["parity"] != want["parity"] {
+			t.Fatalf("seed %d: fault-free run computed %v, want %v", seed, got["parity"], want["parity"])
+		}
 	}
-	if total == 0 {
-		t.Error("no faults injected across 200 noisy executions")
+	half := 2.576 * math.Sqrt(variance)
+	t.Logf("%d faults injected over %d runs; expected %.1f ± %.1f", total, seeds, mean, half)
+	if math.Abs(float64(total)-mean) > half {
+		t.Errorf("%d faults injected over %d runs, want %.1f ± %.1f", total, seeds, mean, half)
 	}
 }
 
