@@ -19,15 +19,17 @@
 //
 // -quick shrinks the kernels (2-round AES, small tiles) for fast runs;
 // the default regenerates the full-scale campaign (complete AES-128),
-// which takes a few minutes. -parallel bounds the campaign worker pool
-// (default 0 = all cores); results are identical for every setting —
-// grid cells are reassembled in paper order and Monte-Carlo streams are
-// sharded by seed, not by worker.
+// whose stdout is committed as docs/campaign-full.txt. -parallel bounds
+// the campaign worker pool (default 0 = all cores); results are identical
+// for every setting — grid cells are reassembled in paper order and
+// Monte-Carlo streams are sharded by seed, not by worker.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -39,28 +41,51 @@ import (
 )
 
 func main() {
-	var (
-		exp        = flag.String("exp", "all", "experiment: table2, fig2b, fig6, fig7, mc, resynth, analytics or all")
-		quick      = flag.Bool("quick", false, "shrunken kernels for fast iteration")
-		fig6Size   = flag.Int("fig6-size", 256, "array dimension for the Fig. 6 sweep")
-		mcRuns     = flag.Int("mc-runs", 400, "fault-injected runs per Monte-Carlo validation row")
-		fig7Sizes  = flag.String("fig7-sizes", "128,256,512,1024", "array dimensions for Fig. 7")
-		resynSize  = flag.Int("resynth-size", 512, "array dimension for the resynthesis ablation")
-		rows       = flag.Int("rows", 1_000_000, "table size for the analytics campaign")
-		parallel   = flag.Int("parallel", 0, "campaign worker pool size (0 = all cores); results are identical for every setting")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	)
-	flag.Parse()
-
-	stopProf, err := profiling.Start(*cpuProfile, *memProfile)
-	if err != nil {
+	switch err := run(os.Args[1:], os.Stdout, os.Stderr); {
+	case err == nil:
+	case errors.Is(err, errUsage):
+		os.Exit(2) // the flag set has already printed the problem and usage
+	default:
 		fmt.Fprintln(os.Stderr, "sherlock-exp:", err)
 		os.Exit(1)
 	}
+}
+
+// errUsage reports a command line the flag set rejected.
+var errUsage = errors.New("usage")
+
+// run is the whole command: it parses args and writes the selected
+// experiments' tables to stdout. Wall-clock timings go to stderr, so stdout
+// is byte-identical across runs and -parallel settings.
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("sherlock-exp", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		exp        = fs.String("exp", "all", "experiment: table2, fig2b, fig6, fig7, mc, resynth, analytics or all")
+		quick      = fs.Bool("quick", false, "shrunken kernels for fast iteration")
+		fig6Size   = fs.Int("fig6-size", 256, "array dimension for the Fig. 6 sweep")
+		mcRuns     = fs.Int("mc-runs", 400, "fault-injected runs per Monte-Carlo validation row")
+		fig7Sizes  = fs.String("fig7-sizes", "128,256,512,1024", "array dimensions for Fig. 7")
+		resynSize  = fs.Int("resynth-size", 512, "array dimension for the resynthesis ablation")
+		rows       = fs.Int("rows", 1_000_000, "table size for the analytics campaign")
+		parallel   = fs.Int("parallel", 0, "campaign worker pool size (0 = all cores); results are identical for every setting")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProfile = fs.String("memprofile", "", "write a heap profile to this file on exit")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return errUsage
+	}
+
+	stopProf, err := profiling.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		return err
+	}
 	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, "sherlock-exp:", err)
+		if perr := stopProf(); err == nil {
+			err = perr
 		}
 	}()
 
@@ -71,102 +96,88 @@ func main() {
 	setup.Parallelism = *parallel
 	r := experiments.NewRunner(setup)
 
-	run := func(name string, f func() error) {
-		if *exp != "all" && *exp != name {
-			return
-		}
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "sherlock-exp: %s: %v\n", name, err)
-			os.Exit(1)
-		}
-		fmt.Println()
-	}
-
-	run("fig2b", func() error {
-		fmt.Print(experiments.RenderFig2b(experiments.Fig2b(device.Technologies())))
-		return nil
-	})
-	run("table2", func() error {
-		rows, err := experiments.Table2(r)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderTable2(rows))
-		s := experiments.Summarize(rows)
-		fmt.Printf("headline ratios: opt/naive latency %.2fx, energy %.2fx; naive MRA>=2 latency %.2fx\n",
-			s.GeomeanLatencyGain, s.GeomeanEnergyGain, s.NaiveMRALatencyGain)
-		return nil
-	})
-	run("fig6", func() error {
-		series, err := experiments.Fig6(r, *fig6Size)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderFig6(series))
-		gains := experiments.Fig6Summary(series)
-		// Print in setup order: map iteration order would make otherwise
-		// identical campaign outputs differ between runs.
-		for _, tech := range setup.Techs {
-			if gain, ok := gains[tech]; ok {
-				fmt.Printf("opt P_app improvement on %v: %.2fx (geomean over the sweep)\n", tech, gain)
-			}
-		}
-		return nil
-	})
-	run("mc", func() error {
-		var rows []experiments.MCResult
-		start := time.Now()
-		for _, tech := range []device.Technology{device.ReRAM, device.STTMRAM} {
-			mc, err := experiments.MonteCarlo(r, experiments.Bitweaving, tech, *fig6Size, *mcRuns, 7)
+	// Experiments run in campaign order. The opt-in ones are skipped by
+	// "all": the resynthesis ablation compiles each workload many times and
+	// is not part of the paper's standard campaign, and the analytics
+	// campaign is a wall-clock throughput measurement over millions of rows,
+	// not one of the paper's deterministic artifacts.
+	steps := []struct {
+		name  string
+		optIn bool
+		run   func() error
+	}{
+		{"fig2b", false, func() error {
+			fmt.Fprint(stdout, experiments.RenderFig2b(experiments.Fig2b(device.Technologies())))
+			return nil
+		}},
+		{"table2", false, func() error {
+			rows, err := experiments.Table2(r)
 			if err != nil {
 				return err
 			}
-			rows = append(rows, mc)
-		}
-		elapsed := time.Since(start)
-		fmt.Print(experiments.RenderMC(rows))
-		// Timing goes to stderr: stdout stays byte-identical across runs
-		// and -parallel settings (the determinism contract diffs it).
-		total := len(rows) * *mcRuns
-		fmt.Fprintf(os.Stderr, "%d fault-injected runs in %v (%.0f runs/sec, pre-decoded executor)\n",
-			total, elapsed.Round(time.Millisecond), float64(total)/elapsed.Seconds())
-		return nil
-	})
-	run("fig7", func() error {
-		sizes, err := parseSizes(*fig7Sizes)
-		if err != nil {
-			return err
-		}
-		rows, err := experiments.Fig7(r, sizes)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderFig7(rows))
-		return nil
-	})
-	// The resynthesis ablation is opt-in only (-exp resynth): the
-	// co-optimization search compiles each workload many times and is not
-	// part of the paper's standard campaign, so "all" skips it.
-	if *exp == "resynth" {
-		run("resynth", func() error {
+			fmt.Fprint(stdout, experiments.RenderTable2(rows))
+			s := experiments.Summarize(rows)
+			fmt.Fprintf(stdout, "headline ratios: opt/naive latency %.2fx, energy %.2fx; naive MRA>=2 latency %.2fx\n",
+				s.GeomeanLatencyGain, s.GeomeanEnergyGain, s.NaiveMRALatencyGain)
+			return nil
+		}},
+		{"fig6", false, func() error {
+			series, err := experiments.Fig6(r, *fig6Size)
+			if err != nil {
+				return err
+			}
+			fmt.Fprint(stdout, experiments.RenderFig6(series))
+			gains := experiments.Fig6Summary(series)
+			// Print in setup order: map iteration order would make otherwise
+			// identical campaign outputs differ between runs.
+			for _, tech := range setup.Techs {
+				if gain, ok := gains[tech]; ok {
+					fmt.Fprintf(stdout, "opt P_app improvement on %v: %.2fx (geomean over the sweep)\n", tech, gain)
+				}
+			}
+			return nil
+		}},
+		{"mc", false, func() error {
+			var rows []experiments.MCResult
+			start := time.Now()
+			for _, tech := range []device.Technology{device.ReRAM, device.STTMRAM} {
+				mc, err := experiments.MonteCarlo(r, experiments.Bitweaving, tech, *fig6Size, *mcRuns, 7)
+				if err != nil {
+					return err
+				}
+				rows = append(rows, mc)
+			}
+			elapsed := time.Since(start)
+			fmt.Fprint(stdout, experiments.RenderMC(rows))
+			total := len(rows) * *mcRuns
+			fmt.Fprintf(stderr, "%d fault-injected runs in %v (%.0f runs/sec, pre-decoded executor)\n",
+				total, elapsed.Round(time.Millisecond), float64(total)/elapsed.Seconds())
+			return nil
+		}},
+		{"fig7", false, func() error {
+			sizes, err := parseSizes(*fig7Sizes)
+			if err != nil {
+				return err
+			}
+			rows, err := experiments.Fig7(r, sizes)
+			if err != nil {
+				return err
+			}
+			fmt.Fprint(stdout, experiments.RenderFig7(rows))
+			return nil
+		}},
+		{"resynth", true, func() error {
 			start := time.Now()
 			rows, err := experiments.Resynth(r, device.STTMRAM, *resynSize)
 			if err != nil {
 				return err
 			}
 			elapsed := time.Since(start)
-			fmt.Print(experiments.RenderResynth(rows))
-			// Timing goes to stderr: stdout stays byte-identical across
-			// runs and -parallel settings.
-			fmt.Fprintf(os.Stderr, "resynthesis search completed in %v\n", elapsed.Round(time.Millisecond))
+			fmt.Fprint(stdout, experiments.RenderResynth(rows))
+			fmt.Fprintf(stderr, "resynthesis search completed in %v\n", elapsed.Round(time.Millisecond))
 			return nil
-		})
-	}
-	// The analytics campaign is opt-in too (-exp analytics): it is a
-	// wall-clock throughput measurement over millions of rows, not one of
-	// the paper's deterministic artifacts.
-	if *exp == "analytics" {
-		run("analytics", func() error {
+		}},
+		{"analytics", true, func() error {
 			cfg := experiments.DefaultAnalyticsConfig()
 			cfg.Rows = *rows
 			if *quick {
@@ -177,12 +188,26 @@ func main() {
 			if err != nil {
 				return err
 			}
-			fmt.Print(experiments.RenderAnalytics(res))
-			// Throughput varies run to run: stderr keeps stdout diffable.
-			fmt.Fprint(os.Stderr, experiments.RenderAnalyticsTiming(res))
+			fmt.Fprint(stdout, experiments.RenderAnalytics(res))
+			fmt.Fprint(stderr, experiments.RenderAnalyticsTiming(res))
 			return nil
-		})
+		}},
 	}
+	ran := false
+	for _, st := range steps {
+		if *exp != st.name && (*exp != "all" || st.optIn) {
+			continue
+		}
+		if err := st.run(); err != nil {
+			return fmt.Errorf("%s: %w", st.name, err)
+		}
+		fmt.Fprintln(stdout)
+		ran = true
+	}
+	if !ran {
+		return fmt.Errorf("unknown experiment %q", *exp)
+	}
+	return nil
 }
 
 func parseSizes(s string) ([]int, error) {

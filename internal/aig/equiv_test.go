@@ -37,7 +37,7 @@ func TestCheckOutputsStrash(t *testing.T) {
 	g := New(3)
 	x := g.AndN([]Lit{g.Input(0), g.Input(1), g.Input(2)})
 	y := g.AndN([]Lit{g.Input(2), g.Input(0), g.Input(1)})
-	vs, _ := CheckOutputs(g, []Lit{x}, []Lit{y}, EquivOptions{})
+	vs, _ := CheckOutputs(g, []Lit{x}, []Lit{y})
 	if vs[0].Verdict != VerdictProven || vs[0].Method != "strash" {
 		t.Fatalf("canonical folds should prove by strash, got %+v", vs[0])
 	}
@@ -63,7 +63,7 @@ func TestCheckOutputsRebuildReassociation(t *testing.T) {
 	}
 	balAnd := tree(0, n, g.And)
 	balXor := tree(0, n, g.Xor)
-	vs, st := CheckOutputs(g, []Lit{skewAnd, skewXor}, []Lit{balAnd, balXor}, EquivOptions{})
+	vs, st := CheckOutputs(g, []Lit{skewAnd, skewXor}, []Lit{balAnd, balXor})
 	for i, v := range vs {
 		if v.Verdict != VerdictProven {
 			t.Fatalf("pair %d: %v via %s, want proven", i, v.Verdict, v.Method)
@@ -77,19 +77,20 @@ func TestCheckOutputsRebuildReassociation(t *testing.T) {
 	}
 }
 
-// Distribution a·(b+c) = a·b + a·c is not an AC reassociation; the sweep has
-// to prove the roots equal over their joint support.
-func TestCheckOutputsSweepDistribution(t *testing.T) {
+// Distribution a·(b+c) = a·b + a·c is not an AC reassociation, so the
+// rebuild leaves the roots distinct; the table proves them equal over their
+// three-input joint support.
+func TestCheckOutputsTableDistribution(t *testing.T) {
 	g := New(3)
 	a, b, c := g.Input(0), g.Input(1), g.Input(2)
 	f1 := g.And(a, g.Or(b, c))
 	f2 := g.Or(g.And(a, b), g.And(a, c))
-	vs, st := CheckOutputs(g, []Lit{f1}, []Lit{f2}, EquivOptions{})
-	if vs[0].Verdict != VerdictProven {
-		t.Fatalf("distribution not proven: %+v", vs[0])
+	vs, st := CheckOutputs(g, []Lit{f1}, []Lit{f2})
+	if vs[0].Verdict != VerdictProven || vs[0].Method != "table" {
+		t.Fatalf("distribution not proven by table: %+v", vs[0])
 	}
-	if st.Merges == 0 {
-		t.Fatalf("expected at least one sweep merge")
+	if st.TableProofs != 1 {
+		t.Fatalf("table proofs = %d, want 1", st.TableProofs)
 	}
 }
 
@@ -98,7 +99,7 @@ func TestCheckOutputsCosimRefutes(t *testing.T) {
 	a, b := g.Input(0), g.Input(1)
 	f1 := g.And(a, b)
 	f2 := g.Or(a, b)
-	vs, _ := CheckOutputs(g, []Lit{f1}, []Lit{f2}, EquivOptions{})
+	vs, _ := CheckOutputs(g, []Lit{f1}, []Lit{f2})
 	v := vs[0]
 	if v.Verdict != VerdictRefuted || v.Method != "cosim" {
 		t.Fatalf("AND vs OR not cosim-refuted: %+v", v)
@@ -121,7 +122,7 @@ func TestCheckOutputsTableRefutes(t *testing.T) {
 		all[i] = g.Input(i)
 	}
 	wide := g.AndN(all)
-	vs, st := CheckOutputs(g, []Lit{wide}, []Lit{Const0}, EquivOptions{})
+	vs, st := CheckOutputs(g, []Lit{wide}, []Lit{Const0})
 	v := vs[0]
 	if v.Verdict != VerdictRefuted {
 		t.Fatalf("wide AND vs const not refuted: %+v", v)
@@ -137,14 +138,24 @@ func TestCheckOutputsTableRefutes(t *testing.T) {
 	}
 }
 
+// a·(b1+…+b16) and a·b1+…+a·b16 are equal, but their joint support is one
+// input beyond the table's bound.
 func TestCheckOutputsUnprovenWithinBudget(t *testing.T) {
-	g := New(3)
-	a, b, c := g.Input(0), g.Input(1), g.Input(2)
-	f1 := g.And(a, g.Or(b, c))
-	f2 := g.Or(g.And(a, b), g.And(a, c))
-	vs, _ := CheckOutputs(g, []Lit{f1}, []Lit{f2}, EquivOptions{MaxSupport: 2})
-	if vs[0].Verdict != VerdictUnproven {
-		t.Fatalf("3-input sweep under MaxSupport=2 should be unproven, got %+v", vs[0])
+	g := New(17)
+	a := g.Input(0)
+	bs := make([]Lit, 16)
+	terms := make([]Lit, 16)
+	for i := range bs {
+		bs[i] = g.Input(1 + i)
+		terms[i] = g.And(a, bs[i])
+	}
+	f1, f2 := g.And(a, g.OrN(bs)), g.OrN(terms)
+	vs, st := CheckOutputs(g, []Lit{f1}, []Lit{f2})
+	if vs[0].Verdict != VerdictUnproven || vs[0].Method != "unproven" {
+		t.Fatalf("17-input distribution should be unproven, got %+v", vs[0])
+	}
+	if st.TableProofs != 0 {
+		t.Fatalf("table ran %d times past the support bound", st.TableProofs)
 	}
 }
 
@@ -212,7 +223,7 @@ func TestCheckOutputsProvesResynthesisShapes(t *testing.T) {
 		for _, pass := range resynthPasses {
 			g2, outs2 := pass.apply(g, outs)
 			grafted := graft(g, g2, outs2)
-			vs, _ := CheckOutputs(g, outs, grafted, EquivOptions{})
+			vs, _ := CheckOutputs(g, outs, grafted)
 			for i, v := range vs {
 				if v.Verdict != VerdictProven {
 					t.Fatalf("trial %d pass %s output %d: %v via %s, want proven",
@@ -237,9 +248,9 @@ func TestCheckOutputsPinsResynthCandidates(t *testing.T) {
 		stats  EquivStats
 		method string
 	}{
-		"balance":  {EquivStats{RebuiltNodes: 6134, Merges: 48}, "rebuild"},
-		"rewrite":  {EquivStats{RebuiltNodes: 7082, Merges: 48}, "unproven"},
-		"refactor": {EquivStats{RebuiltNodes: 6254, Merges: 48}, "unproven"},
+		"balance":  {EquivStats{RebuiltNodes: 6150}, "rebuild"},
+		"rewrite":  {EquivStats{RebuiltNodes: 7558}, "unproven"},
+		"refactor": {EquivStats{RebuiltNodes: 6270}, "unproven"},
 	}
 	for _, pass := range resynthPasses {
 		c, err := LiftDFG(kernel)
@@ -247,7 +258,7 @@ func TestCheckOutputsPinsResynthCandidates(t *testing.T) {
 			t.Fatal(err)
 		}
 		g2, outs2 := pass.apply(c.G, c.Outs)
-		vs, st := CheckOutputs(c.G, c.Outs, graft(c.G, g2, outs2), EquivOptions{})
+		vs, st := CheckOutputs(c.G, c.Outs, graft(c.G, g2, outs2))
 		w := want[pass.name]
 		if st != w.stats {
 			t.Errorf("%s: stats %+v, want %+v", pass.name, st, w.stats)

@@ -8,9 +8,10 @@
 // Every candidate that could be adopted must clear two independent gates
 // first: the emitted program verifies at zero findings, and the scheduled
 // program is statically PROVEN equivalent to the original kernel by the
-// translation validator (internal/verify) — symbolic execution into an AIG
-// plus structural/exhaustive equivalence checking. Candidates whose proof
-// exhausts its budget fall back to packed random equivalence fuzzing; a
+// translation validator (internal/verify) — symbolic execution into an AIG,
+// discharged by strash, cosimulation, an AC-normalizing rebuild and an
+// exhaustive table over joint supports of at most 16 inputs. Candidates the
+// proof leaves unproven fall back to packed random equivalence fuzzing; a
 // refutation is a hard rejection. Candidates that fail anything are
 // rejections, never errors — the baseline compile is always the floor.
 package coopt

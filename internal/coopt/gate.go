@@ -26,8 +26,9 @@ func VerifyMapped(res *mapping.Result, maxRows int) error {
 // program is symbolically executed into an AIG (internal/verify) and every
 // readout is discharged against the reference kernel. A fully proven
 // report subsumes the dynamic fuzz; a refuted report carries a concrete
-// counterexample; outputs that exhaust the proof budget come back
-// unproven and the caller falls back to FuzzEquivalence.
+// counterexample; outputs that the rebuild leaves distinct over a joint
+// support wider than the table's 16 inputs come back unproven, and the
+// caller falls back to FuzzEquivalence.
 func ProveMapped(res *mapping.Result, kernel *dfg.Graph) (*verify.EquivReport, error) {
 	outs, names := res.Graph.Outputs(), res.Graph.OutputNames()
 	specs := make([]verify.OutputAt, len(outs))

@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"strings"
+	"os"
 	"testing"
 
 	"sherlock/internal/device"
@@ -53,10 +53,14 @@ func TestResynthAblationShape(t *testing.T) {
 			}
 		}
 	}
-	table := RenderResynth(rows)
-	for _, want := range []string{"workload", "baseline", "balance", "full", "proved", "backstop", "speedup"} {
-		if !strings.Contains(table, want) {
-			t.Fatalf("rendered table missing %q:\n%s", want, table)
-		}
+	// The file holds `sherlock-exp -quick -exp resynth -resynth-size 128`
+	// stdout, which ends the table with a blank line.
+	want, err := os.ReadFile("testdata/resynth-quick.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := RenderResynth(rows) + "\n"; got != string(want) {
+		t.Fatalf("quick resynthesis table differs from testdata/resynth-quick.txt; if the change is intentional, regenerate with `go run ./cmd/sherlock-exp -quick -exp resynth -resynth-size 128 > internal/experiments/testdata/resynth-quick.txt`\ngot:\n%swant:\n%s",
+			got, want)
 	}
 }

@@ -47,11 +47,9 @@ type OutputAt struct {
 	Place layout.Place
 }
 
-// EquivOptions bounds the equivalence decision procedures (see
-// aig.EquivOptions; zero values select the defaults there).
-type EquivOptions struct {
-	MaxSupport int // exhaustive-proof joint-support cap (default 16)
-}
+// EquivOptions is fieldless: the prover's budgets are fixed constants in
+// internal/aig. The type stays because callers outside this module name it.
+type EquivOptions struct{}
 
 // Mismatch is a concrete refutation of program/kernel equivalence: an input
 // assignment on which one output differs.
@@ -130,7 +128,7 @@ type EquivReport struct {
 	// kernel and the symbolically executed program — O(program instructions
 	// + kernel ops) for a faithful compile.
 	Nodes int
-	// Stats reports the prover's rebuild/sweep/table work.
+	// Stats reports the prover's rebuild and table work.
 	Stats aig.EquivStats
 }
 
@@ -185,17 +183,22 @@ func Equivalent(p isa.Program, t layout.Target, kernel *dfg.Graph, outs []Output
 	return rep.Err()
 }
 
+// liftDFG is the kernel lift; tests swap in a failing one, since no graph
+// the dfg API builds falls outside the liftable op set.
+var liftDFG = aig.LiftDFG
+
 // EquivalentOpts runs the equivalence check and returns the full per-output
 // report. The error return covers structural failures only; consult
-// EquivReport.Err for the verdicts.
-func EquivalentOpts(p isa.Program, t layout.Target, kernel *dfg.Graph, outs []OutputAt, opt EquivOptions) (*EquivReport, error) {
+// EquivReport.Err for the verdicts. A strict error in the program is
+// reported ahead of a kernel the prover cannot lift.
+func EquivalentOpts(p isa.Program, t layout.Target, kernel *dfg.Graph, outs []OutputAt, _ EquivOptions) (*EquivReport, error) {
 	w, err := isa.NewWalker(p, t)
 	if err != nil {
 		return nil, fmt.Errorf("verify: program rejected before equivalence checking: %w", err)
 	}
-	cone, err := aig.LiftDFG(kernel)
-	if err != nil {
-		return nil, fmt.Errorf("verify: kernel is outside the liftable op set: %w", err)
+	cone, liftErr := liftDFG(kernel)
+	if liftErr != nil {
+		cone = &aig.Cone{G: aig.New(0)} // walk anyway; every literal stays constant
 	}
 	inIdx := make(map[string]int, len(cone.InputNames))
 	for i, name := range cone.InputNames {
@@ -204,11 +207,15 @@ func EquivalentOpts(p isa.Program, t layout.Target, kernel *dfg.Graph, outs []Ou
 
 	// One strict walk does both jobs: bounds, structural invariants and
 	// def-before-use must hold before literals mean anything, so the first
-	// strict fault stops the proof. A binding outside the kernel's inputs is
-	// only reported once the whole program walked strict-clean.
+	// strict fault stops the proof. A kernel the prover cannot lift, and
+	// then a binding outside the kernel's inputs, are only reported once
+	// the whole program walked strict-clean.
 	ex := newSymExec(w, cone.G, inIdx)
 	if err := w.Run(ex); err != nil {
 		return nil, fmt.Errorf("verify: program rejected before equivalence checking: %w", err)
+	}
+	if liftErr != nil {
+		return nil, fmt.Errorf("verify: kernel is outside the liftable op set: %w", liftErr)
 	}
 	if ex.bindErr != nil {
 		return nil, ex.bindErr
@@ -247,7 +254,7 @@ func EquivalentOpts(p isa.Program, t layout.Target, kernel *dfg.Graph, outs []Ou
 		}
 	}
 
-	verdicts, stats := aig.CheckOutputs(cone.G, progLits, kernLits, aig.EquivOptions{MaxSupport: opt.MaxSupport})
+	verdicts, stats := aig.CheckOutputs(cone.G, progLits, kernLits)
 	rep := &EquivReport{Nodes: cone.G.NumAnds(), Stats: stats}
 	for i, v := range verdicts {
 		oe := OutputEquiv{Name: names[i], Verdict: v.Verdict, Method: v.Method}

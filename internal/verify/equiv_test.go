@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"sherlock/internal/aig"
 	"sherlock/internal/dfg"
 	"sherlock/internal/isa"
 	"sherlock/internal/layout"
@@ -342,42 +343,46 @@ func TestEquivalentMutations(t *testing.T) {
 	}
 }
 
-// Equivalence against a functionally equal but structurally reassociated
-// kernel must still prove (the Balance-candidate case), and shrinking the
-// exhaustive budget must degrade to unproven — never to a false verdict.
+// Equivalence against a functionally equal but structurally different
+// kernel must still prove when the joint support is small, and degrade to
+// unproven — never to a false verdict — once it is one input beyond the
+// exhaustive bound.
 func TestEquivalentStructurallyDifferentKernel(t *testing.T) {
-	build := func(distributed bool) *dfg.Graph {
+	// build returns a·(b1+…+bn) or its distributed form a·b1+…+a·bn.
+	build := func(n int, distributed bool) *dfg.Graph {
 		b := dfg.NewBuilder()
-		a, x, y := b.Input("a"), b.Input("x"), b.Input("y")
+		a, bs := b.Input("a"), b.Inputs("b", n)
 		if distributed {
-			b.Output("o", b.Or(b.And(a, x), b.And(a, y)))
+			terms := make([]dfg.Val, n)
+			for i, bi := range bs {
+				terms[i] = b.And(a, bi)
+			}
+			b.Output("o", b.OrN(terms...))
 		} else {
-			b.Output("o", b.And(a, b.Or(x, y)))
+			b.Output("o", b.And(a, b.OrN(bs...)))
 		}
 		return b.Graph()
 	}
-	factored, distributed := build(false), build(true)
-	target := layout.Target{Arrays: 1, Rows: 32, Cols: 32}
-	res := mapKernel(t, distributed, true, target, mapping.Options{})
-	outs := outputsOf(t, res)
-
-	// Full budget: the sweep proves distribution.
-	rep, err := EquivalentOpts(res.Program, target, factored, outs, EquivOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.AllProven() {
-		t.Fatalf("distributed program vs factored kernel not proven: %+v", rep.Outputs)
+	target := layout.Target{Arrays: 1, Rows: 64, Cols: 64}
+	check := func(n int) *EquivReport {
+		t.Helper()
+		res := mapKernel(t, build(n, true), true, target, mapping.Options{})
+		rep, err := EquivalentOpts(res.Program, target, build(n, false), outputsOf(t, res), EquivOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
 	}
 
-	// Starved budget: unproven, surfaced as *UnprovenError.
-	rep, err = EquivalentOpts(res.Program, target, factored, outs, EquivOptions{MaxSupport: 2})
-	if err != nil {
-		t.Fatal(err)
+	// Three inputs: the table proves distribution.
+	if rep := check(2); !rep.AllProven() || rep.Outputs[0].Method != "table" {
+		t.Fatalf("distributed program vs factored kernel not proven by table: %+v", rep.Outputs)
 	}
+
+	// Seventeen inputs: unproven, surfaced as *UnprovenError.
 	var ue *UnprovenError
-	if verr := rep.Err(); !errors.As(verr, &ue) {
-		t.Fatalf("starved budget: want *UnprovenError, got %v", verr)
+	if verr := check(16).Err(); !errors.As(verr, &ue) {
+		t.Fatalf("17-input support: want *UnprovenError, got %v", verr)
 	}
 	if ue.Output != "o" {
 		t.Fatalf("unproven output %q, want o", ue.Output)
@@ -434,6 +439,36 @@ func TestEquivalentStrictErrorWinsOverBinding(t *testing.T) {
 
 	// A later read of a never-written cell is a strict error and must win.
 	broken := append(clone(rebound), isa.Instruction{
+		Kind: isa.KindRead, Array: 0, Cols: []int{target.Cols - 1}, Rows: []int{target.Rows - 1},
+	})
+	strict := Program(broken, target).Err()
+	if strict == nil {
+		t.Fatal("verifier accepted a read of an undefined cell")
+	}
+	_, err = EquivalentOpts(broken, target, g, outs, EquivOptions{})
+	want := "verify: program rejected before equivalence checking: " + strict.Error()
+	if err == nil || err.Error() != want {
+		t.Fatalf("got %v\nwant %s", err, want)
+	}
+}
+
+// TestEquivalentStrictErrorWinsOverLift pins the same precedence for a
+// kernel the prover cannot lift: the program's strict error is reported,
+// and the lift error only for a strict-clean program.
+func TestEquivalentStrictErrorWinsOverLift(t *testing.T) {
+	g := testKernel(t)
+	target := layout.Target{Arrays: 1, Rows: 64, Cols: 64}
+	res := mapKernel(t, g, true, target, mapping.Options{})
+	outs := outputsOf(t, res)
+	defer func(lift func(*dfg.Graph) (*aig.Cone, error)) { liftDFG = lift }(liftDFG)
+	liftDFG = func(*dfg.Graph) (*aig.Cone, error) { return nil, errors.New("unliftable") }
+
+	_, err := EquivalentOpts(res.Program, target, g, outs, EquivOptions{})
+	if err == nil || err.Error() != "verify: kernel is outside the liftable op set: unliftable" {
+		t.Fatalf("lift error: got %v", err)
+	}
+
+	broken := append(clone(res.Program), isa.Instruction{
 		Kind: isa.KindRead, Array: 0, Cols: []int{target.Cols - 1}, Rows: []int{target.Rows - 1},
 	})
 	strict := Program(broken, target).Err()
