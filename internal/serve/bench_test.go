@@ -86,6 +86,9 @@ const benchCallers = 64
 // benchRounds is how many requests each caller issues per measured wave.
 const benchRounds = 8
 
+// vectorsPerWave counts one wave's vectors: every request carries 32.
+const vectorsPerWave = benchCallers * benchRounds * 32
+
 // benchEntries compiles the load generator's kernel mix through the given
 // registry: four distinct bitweaving scan programs (hundreds of
 // instructions each), the "many small queries against a warm kernel set"
@@ -133,30 +136,31 @@ func benchTraffic(b *testing.B, entries []*Entry) [][]benchReq {
 	return traffic
 }
 
-// runWave fans one wave of traffic (benchCallers x benchRounds requests)
-// out and waits for it; each caller runs its stream sequentially, like a
-// client that needs each answer before the next question.
+// runWave runs one wave of traffic (benchCallers x benchRounds requests)
+// as benchRounds lockstep rounds: each caller sends its next request, like
+// a client that needs each answer before the next question, and a round
+// ends when every caller has its answer. Caller c's round-r request goes
+// to kernel (c+r) mod 4, so every round splits the callers evenly over
+// the kernels: a coalescer's batches fill to the size trigger instead of
+// leaving stragglers to the window timer.
 func runWave(b *testing.B, traffic [][]benchReq, do func(caller int, req benchReq) error) {
 	b.Helper()
 	var wg sync.WaitGroup
-	for caller := 0; caller < benchCallers; caller++ {
-		wg.Add(1)
-		go func(caller int) {
-			defer wg.Done()
-			for _, req := range traffic[caller] {
-				if err := do(caller, req); err != nil {
+	for round := 0; round < benchRounds; round++ {
+		wg.Add(benchCallers)
+		for caller := 0; caller < benchCallers; caller++ {
+			go func(caller int) {
+				defer wg.Done()
+				if err := do(caller, traffic[caller][round]); err != nil {
 					b.Error(err)
-					return
 				}
-			}
-		}(caller)
+			}(caller)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 }
 
 func BenchmarkServeMixedLoad(b *testing.B) {
-	const vectorsPerWave = benchCallers * benchRounds * 32
-
 	b.Run("naive", func(b *testing.B) {
 		// Baseline: every caller drives its own RunBatch — per-vector map
 		// decode plus a whole executor pass per 32-lane request.
@@ -179,15 +183,11 @@ func BenchmarkServeMixedLoad(b *testing.B) {
 		svc := NewService(Config{Backend: BackendCIM, Window: 5 * time.Millisecond})
 		entries := benchEntries(b, svc.Registry())
 		traffic := benchTraffic(b, entries)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			runWave(b, traffic, func(caller int, req benchReq) error {
-				_, _, err := svc.Run(entries[req.entry], req.batch, BackendAuto)
-				return err
-			})
-			svc.Drain() // release stragglers parked in a window
+		do := func(caller int, req benchReq) error {
+			_, _, err := svc.Run(entries[req.entry], req.batch, BackendAuto)
+			return err
 		}
-		b.ReportMetric(float64(vectorsPerWave)*float64(b.N)/b.Elapsed().Seconds(), "vectors_per_sec")
+		coalescedWaves(b, svc, traffic, do)
 	})
 
 	b.Run("coalesced", func(b *testing.B) {
@@ -199,28 +199,34 @@ func BenchmarkServeMixedLoad(b *testing.B) {
 		entries := benchEntries(b, svc.Registry())
 		traffic := benchTraffic(b, entries)
 		outs := make([][]uint64, benchCallers)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			runWave(b, traffic, func(caller int, req benchReq) error {
-				out, _, err := svc.RunWords(entries[req.entry], req.packed, 32, outs[caller], BackendAuto)
-				outs[caller] = out
-				return err
-			})
-			svc.Drain()
-		}
-		b.ReportMetric(float64(vectorsPerWave)*float64(b.N)/b.Elapsed().Seconds(), "vectors_per_sec")
-		if b.N > 1 {
-			st := svc.Stats()
-			b.ReportMetric(float64(st.Coalesce.Lanes)/float64(max64(st.Coalesce.Flushes+st.Coalesce.DirectRuns, 1)), "lanes_per_pass")
-		}
+		coalescedWaves(b, svc, traffic, func(caller int, req benchReq) error {
+			out, _, err := svc.RunWords(entries[req.entry], req.packed, 32, outs[caller], BackendAuto)
+			outs[caller] = out
+			return err
+		})
 	})
 }
 
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
+// coalescedWaves times b.N waves through svc, each ended by an explicit
+// Drain, after one untimed warm-up wave that takes each coalescer past its
+// first arrival (which the arrival-rate rule runs at once, leaving a
+// partial batch to the timer). With the timer out of the measurement the
+// waves time admission, merge, execution and demux; timer_flushes reports
+// per wave how often the timer still fired.
+func coalescedWaves(b *testing.B, svc *Service, traffic [][]benchReq, do func(caller int, req benchReq) error) {
+	runWave(b, traffic, do)
+	svc.Drain()
+	st0 := svc.Stats().Coalesce
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runWave(b, traffic, do)
+		svc.Drain()
 	}
-	return b
+	b.StopTimer()
+	st := svc.Stats().Coalesce
+	b.ReportMetric(float64(vectorsPerWave)*float64(b.N)/b.Elapsed().Seconds(), "vectors_per_sec")
+	b.ReportMetric(float64(st.Lanes-st0.Lanes)/float64(max(st.Flushes+st.DirectRuns-st0.Flushes-st0.DirectRuns, 1)), "lanes_per_pass")
+	b.ReportMetric(float64(st.TimerFlushes-st0.TimerFlushes)/float64(b.N), "timer_flushes")
 }
 
 // BenchmarkCoalescerSubmit measures the merge machinery itself: packed

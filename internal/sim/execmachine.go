@@ -46,7 +46,6 @@ type ExecMachine struct {
 	stateWords int
 	cells      []uint64 // numCells * stateWords, stride activeWords
 	buf        []uint64 // numBuf * stateWords, stride activeWords
-	acc        []uint64 // fold scratch, B words
 	in         []uint64 // input scratch, NumSlots * B; cleared by Reset
 
 	faults     *execFaultModel
@@ -72,7 +71,6 @@ func (e *Exec) newMachine(blockWords int) *ExecMachine {
 	return &ExecMachine{
 		e:          e,
 		block:      blockWords,
-		acc:        make([]uint64, blockWords),
 		in:         make([]uint64, len(e.inputNames)*blockWords),
 		flipCounts: make([]int, blockWords*WordLanes),
 	}
@@ -201,63 +199,64 @@ func (m *ExecMachine) Run(in []uint64) error {
 	}
 	aw := m.activeWords
 	cells, buf := m.cells, m.buf
-	acc := m.acc[:aw]
 	srcs, dsts := e.srcs, e.dsts
 	for oi := range e.ops {
 		op := &e.ops[oi]
 		switch op.kind {
 		case uopFoldAnd, uopFoldOr, uopFoldXor:
+			// Scouting reads activate at least two rows: the first pair
+			// combines straight into the row-buffer block, further rows fold
+			// in place. Sources are resliced to len(dst) to drop bounds checks.
 			rows := e.rowOffs[op.rows0:op.rows1]
+			r0, r1, rest := int(rows[0])*aw, int(rows[1])*aw, rows[2:]
 			for i := op.p0; i < op.p1; i++ {
-				base := int(srcs[i]) * aw
+				base, dst := int(srcs[i])*aw, buf[int(dsts[i])*aw:][:aw]
+				x, y := cells[base+r0:][:len(dst)], cells[base+r1:][:len(dst)]
 				switch op.kind {
 				case uopFoldAnd:
-					for b := range acc {
-						acc[b] = ^uint64(0)
+					for b := range dst {
+						dst[b] = x[b] & y[b]
 					}
-					for _, r := range rows {
-						co := base + int(r)*aw
-						for b := range acc {
-							acc[b] &= cells[co+b]
+					for _, r := range rest {
+						z := cells[base+int(r)*aw:][:len(dst)]
+						for b := range dst {
+							dst[b] &= z[b]
 						}
 					}
 				case uopFoldOr:
-					for b := range acc {
-						acc[b] = 0
+					for b := range dst {
+						dst[b] = x[b] | y[b]
 					}
-					for _, r := range rows {
-						co := base + int(r)*aw
-						for b := range acc {
-							acc[b] |= cells[co+b]
+					for _, r := range rest {
+						z := cells[base+int(r)*aw:][:len(dst)]
+						for b := range dst {
+							dst[b] |= z[b]
 						}
 					}
 				default:
-					for b := range acc {
-						acc[b] = 0
+					for b := range dst {
+						dst[b] = x[b] ^ y[b]
 					}
-					for _, r := range rows {
-						co := base + int(r)*aw
-						for b := range acc {
-							acc[b] ^= cells[co+b]
+					for _, r := range rest {
+						z := cells[base+int(r)*aw:][:len(dst)]
+						for b := range dst {
+							dst[b] ^= z[b]
 						}
 					}
 				}
 				if op.inv {
-					for b := range acc {
-						acc[b] = ^acc[b]
+					for b := range dst {
+						dst[b] = ^dst[b]
 					}
 				}
 				if m.faults != nil {
-					cls := int(op.class)
-					for b := range acc {
-						if w := m.faults.flips(cls, m.lanesOf(b)); w != 0 {
-							acc[b] ^= w
+					for b := range dst {
+						if w := m.faults.flips(int(op.class), m.lanesOf(b)); w != 0 {
+							dst[b] ^= w
 							m.countFlips(b, w)
 						}
 					}
 				}
-				do := int(dsts[i]) * aw
-				copy(buf[do:do+aw], acc)
 			}
 		case uopCopy:
 			for i := op.p0; i < op.p1; i++ {
@@ -276,9 +275,9 @@ func (m *ExecMachine) Run(in []uint64) error {
 			}
 		case uopNot:
 			for i := op.p0; i < op.p1; i++ {
-				do := int(dsts[i]) * aw
-				for b := 0; b < aw; b++ {
-					buf[do+b] = ^buf[do+b]
+				dst := buf[int(dsts[i])*aw:][:aw]
+				for b := range dst {
+					dst[b] = ^dst[b]
 				}
 			}
 		case uopShift:

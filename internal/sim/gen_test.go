@@ -76,7 +76,7 @@ func (m *progModel) read(rng *rand.Rand, cim bool) bool {
 	for attempt := 0; attempt < 4; attempt++ {
 		var rows []int
 		if cim {
-			k := 2 + rng.Intn(2)
+			k := 2 + rng.Intn(3)
 			if k > m.t.Rows {
 				k = 2
 			}

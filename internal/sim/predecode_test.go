@@ -104,7 +104,12 @@ func TestExecMatchesScalarAndLaneFuzz(t *testing.T) {
 
 // TestExecBlockMatchesSingleWord pins the lane-block generalization: one
 // B-word pass over many lanes must equal B independent single-word passes,
-// at block-edge lane counts (partial last words, single lane, full block).
+// at block widths of 4, 37 and 256 words (the default, an odd width and the
+// stream's widest) and at block-edge lane counts (partial last words,
+// single lane, full block). Scouting reads activate 2-4 rows, so the
+// folds past the first row pair run on multi-word blocks too. One lane per
+// word is also checked against the reference interpreter, which a fold
+// that drops a row cannot satisfy on both sides of the comparison.
 func TestExecBlockMatchesSingleWord(t *testing.T) {
 	target := layout.Target{Arrays: 2, Rows: 6, Cols: 5}
 	rng := rand.New(rand.NewSource(31))
@@ -114,48 +119,66 @@ func TestExecBlockMatchesSingleWord(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: predecode: %v\nprogram:\n%s", trial, err, pm.prog)
 		}
-		for _, lanes := range []int{1, 63, 64, 65, 255, 256} {
-			block := ex.NewMachine(4)
-			block.Reset(lanes)
-			in := block.InputBlock()
-			B := block.BlockWords()
-			// Random input words per 64-lane word, reused for the
-			// single-word reference passes.
-			aw := (lanes + WordLanes - 1) / WordLanes
-			ref := make([]map[string]uint64, aw)
-			for b := 0; b < aw; b++ {
-				ref[b] = make(map[string]uint64, len(pm.names))
-				for si, n := range pm.names {
-					w := rng.Uint64()
-					ref[b][n] = w
-					if s, ok := ex.Slot(n); ok && s != si {
-						t.Fatalf("slot order diverges: %q slot %d vs name index %d", n, s, si)
+		for _, B := range []int{4, 37, 256} {
+			for _, lanes := range []int{1, 63, 64, 65, B*WordLanes - 1, B * WordLanes} {
+				block := ex.NewMachine(B)
+				block.Reset(lanes)
+				in := block.InputBlock()
+				// Random input words per 64-lane word, reused for the
+				// single-word reference passes.
+				aw := (lanes + WordLanes - 1) / WordLanes
+				ref := make([]map[string]uint64, aw)
+				for b := 0; b < aw; b++ {
+					ref[b] = make(map[string]uint64, len(pm.names))
+					for si, n := range pm.names {
+						w := rng.Uint64()
+						ref[b][n] = w
+						if s, ok := ex.Slot(n); ok && s != si {
+							t.Fatalf("slot order diverges: %q slot %d vs name index %d", n, s, si)
+						}
+						in[si*B+b] = w
 					}
-					in[si*B+b] = w
 				}
-			}
-			if err := block.Run(in); err != nil {
-				t.Fatalf("trial %d lanes %d: block run: %v", trial, lanes, err)
-			}
-			for b := 0; b < aw; b++ {
-				wordLanes := min(WordLanes, lanes-b*WordLanes)
-				single := ex.NewMachine(1)
-				single.Reset(wordLanes)
-				if err := single.RunMap(ref[b]); err != nil {
-					t.Fatalf("trial %d lanes %d word %d: single run: %v", trial, lanes, b, err)
+				if err := block.Run(in); err != nil {
+					t.Fatalf("trial %d lanes %d: block run: %v", trial, lanes, err)
 				}
-				for _, p := range defined {
-					wb, err := block.ReadOutWord(p, b)
-					if err != nil {
-						t.Fatalf("trial %d lanes %d word %d: block readout %v: %v", trial, lanes, b, p, err)
+				for b := 0; b < aw; b++ {
+					wordLanes := min(WordLanes, lanes-b*WordLanes)
+					single := ex.NewMachine(1)
+					single.Reset(wordLanes)
+					if err := single.RunMap(ref[b]); err != nil {
+						t.Fatalf("trial %d lanes %d word %d: single run: %v", trial, lanes, b, err)
 					}
-					ws, err := single.ReadOutWord(p, 0)
-					if err != nil {
-						t.Fatalf("trial %d lanes %d word %d: single readout %v: %v", trial, lanes, b, p, err)
+					l := b % wordLanes
+					lane := make(map[string]bool, len(pm.names))
+					for _, n := range pm.names {
+						lane[n] = ref[b][n]>>uint(l)&1 == 1
 					}
-					if wb != ws {
-						t.Fatalf("trial %d lanes %d word %d cell %v: block %#x, single %#x\nprogram:\n%s",
-							trial, lanes, b, p, wb, ws, pm.prog)
+					sm := simref.NewMachine(target)
+					if err := sm.Run(pm.prog, lane); err != nil {
+						t.Fatalf("trial %d lanes %d word %d: scalar machine: %v", trial, lanes, b, err)
+					}
+					for _, p := range defined {
+						wb, err := block.ReadOutWord(p, b)
+						if err != nil {
+							t.Fatalf("trial %d lanes %d word %d: block readout %v: %v", trial, lanes, b, p, err)
+						}
+						ws, err := single.ReadOutWord(p, 0)
+						if err != nil {
+							t.Fatalf("trial %d lanes %d word %d: single readout %v: %v", trial, lanes, b, p, err)
+						}
+						if wb != ws {
+							t.Fatalf("trial %d B %d lanes %d word %d cell %v: block %#x, single %#x\nprogram:\n%s",
+								trial, B, lanes, b, p, wb, ws, pm.prog)
+						}
+						want, err := sm.ReadOut(p)
+						if err != nil {
+							t.Fatalf("trial %d lanes %d word %d: scalar readout %v: %v", trial, lanes, b, p, err)
+						}
+						if got := wb>>uint(l)&1 == 1; got != want {
+							t.Fatalf("trial %d B %d lanes %d lane %d cell %v: block %v, scalar %v\nprogram:\n%s",
+								trial, B, lanes, b*WordLanes+l, p, got, want, pm.prog)
+						}
 					}
 				}
 			}
