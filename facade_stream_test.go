@@ -58,9 +58,55 @@ func hostCount(out []uint64, numOut, W int) []int64 {
 	return counts
 }
 
-// TestRunStreamMatchesBatchWords is the differential anchor: the streamed
-// BitmapSink must reproduce RunBatchWords bit for bit at every awkward
-// edge, whatever the chunking or sharding.
+// recordSink is the tests' word-for-word view of the sink path: it copies
+// every chunk a run hands its sink into one block in RunBatchWords layout
+// (output-major, stride ceil(lanes/64)), and fails the run unless each
+// chunk arrives exactly once, at its chunk-aligned start, with its width.
+// Shards write disjoint chunks, so concurrent consume calls need no lock.
+type recordSink struct {
+	Out []uint64
+
+	w          int
+	lanes      int
+	chunkLanes int
+	seen       []bool
+}
+
+func (k *recordSink) begin(g streamGeom) error {
+	k.w = laneWords(g.lanes)
+	k.lanes, k.chunkLanes = g.lanes, g.chunkLanes
+	k.Out = make([]uint64, g.numOut()*k.w)
+	k.seen = make([]bool, g.chunks)
+	return nil
+}
+
+func (k *recordSink) consume(shard, chunk, start, lanes int, out []uint64, cw int) error {
+	if k.seen[chunk] {
+		return fmt.Errorf("chunk %d consumed twice", chunk)
+	}
+	k.seen[chunk] = true
+	if start != chunk*k.chunkLanes || lanes != min(k.chunkLanes, k.lanes-start) || cw != laneWords(lanes) {
+		return fmt.Errorf("chunk %d: start %d, %d lanes, %d words", chunk, start, lanes, cw)
+	}
+	w0 := start / 64
+	for o := 0; o*cw < len(out); o++ {
+		copy(k.Out[o*k.w+w0:o*k.w+w0+cw], out[o*cw:(o+1)*cw])
+	}
+	return nil
+}
+
+func (k *recordSink) end(streamGeom) error {
+	for c, ok := range k.seen {
+		if !ok {
+			return fmt.Errorf("chunk %d never consumed", c)
+		}
+	}
+	return nil
+}
+
+// TestRunStreamMatchesBatchWords is the differential anchor: the words a
+// Streamer hands its sink must reproduce RunBatchWords bit for bit at every
+// awkward edge, whatever the chunking or sharding.
 func TestRunStreamMatchesBatchWords(t *testing.T) {
 	c, err := CompileC(demoKernel, Options{Tech: ReRAM, ArraySize: 128})
 	if err != nil {
@@ -80,7 +126,7 @@ func TestRunStreamMatchesBatchWords(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var sink BitmapSink
+		var sink recordSink
 		for _, lanes := range streamEdgeLanes {
 			in := randPackedBatch(c, lanes, int64(lanes))
 			want, err := c.RunBatchWords(in, lanes, nil, 0)
@@ -169,7 +215,7 @@ func TestRunStreamMatchesGoldenModel(t *testing.T) {
 		}
 		chunk := s.ChunkLanes()
 		lanes := append([]int{chunk - 1, chunk, chunk + 1, 2*chunk + 1}, streamEdgeLanes...)
-		var sink BitmapSink
+		var sink recordSink
 		for _, n := range lanes {
 			in := randPackedBatch(c, n, int64(n)+5)
 			want := goldenWords(c, in, n)
@@ -201,7 +247,7 @@ func TestRunStreamMatchesScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sink BitmapSink
+	var sink recordSink
 	if err := s.Run(in, lanes, &sink); err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +270,7 @@ func TestRunStreamMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestStreamSinks pins every fused reduction against host math over the
+// TestStreamSinks pins both fused reductions against host math over the
 // RunBatchWords reference output, at every edge lane count.
 func TestStreamSinks(t *testing.T) {
 	c, err := CompileC(demoKernel, Options{Tech: ReRAM, ArraySize: 128})
@@ -239,11 +285,8 @@ func TestStreamSinks(t *testing.T) {
 	defer s.Close()
 	var (
 		count  CountSink
-		anyS   AnySink
-		allS   AllSink
-		sel    SelectSink
 		sum    SumBitsSink
-		bitmap BitmapSink
+		bitmap recordSink
 	)
 	for _, lanes := range streamEdgeLanes {
 		in := randPackedBatch(c, lanes, 7*int64(lanes)+1)
@@ -260,44 +303,6 @@ func TestStreamSinks(t *testing.T) {
 		for o, n := range wantCounts {
 			if count.Counts[o] != n {
 				t.Errorf("lanes %d: CountSink[%d] = %d, want %d", lanes, o, count.Counts[o], n)
-			}
-		}
-
-		if err := s.Run(in, lanes, &anyS); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Run(in, lanes, &allS); err != nil {
-			t.Fatal(err)
-		}
-		for o := 0; o < numOut; o++ {
-			if got, want := anyS.Any[o], wantCounts[o] > 0; got != want {
-				t.Errorf("lanes %d: AnySink[%d] = %v, want %v", lanes, o, got, want)
-			}
-			if got, want := allS.All[o], wantCounts[o] == int64(lanes); got != want {
-				t.Errorf("lanes %d: AllSink[%d] = %v, want %v (count %d)", lanes, o, got, want, wantCounts[o])
-			}
-		}
-
-		for o := 0; o < numOut; o++ {
-			sel.Output = o
-			if err := s.Run(in, lanes, &sel); err != nil {
-				t.Fatal(err)
-			}
-			var wantRows []int64
-			for l := 0; l < lanes; l++ {
-				if want[o*W+l/64]>>uint(l%64)&1 == 1 {
-					wantRows = append(wantRows, int64(l))
-				}
-			}
-			if len(sel.Rows) != len(wantRows) {
-				t.Fatalf("lanes %d output %d: SelectSink gathered %d rows, want %d",
-					lanes, o, len(sel.Rows), len(wantRows))
-			}
-			for i := range wantRows {
-				if sel.Rows[i] != wantRows[i] {
-					t.Fatalf("lanes %d output %d: row[%d] = %d, want %d",
-						lanes, o, i, sel.Rows[i], wantRows[i])
-				}
 			}
 		}
 
@@ -319,42 +324,6 @@ func TestStreamSinks(t *testing.T) {
 		for i := range want {
 			if bitmap.Out[i] != want[i] {
 				t.Fatalf("lanes %d: bitmap word %d diverged after sink reuse", lanes, i)
-			}
-		}
-	}
-}
-
-// TestStreamAllSinkLiveLanes: AllSink must not let zero-masked dead lanes
-// veto FORALL. An all-ones input makes demoKernel's "lo" output
-// (t | ~a) all true; at 65 lanes the final word has 63 dead lanes.
-func TestStreamAllSinkLiveLanes(t *testing.T) {
-	c, err := CompileC(demoKernel, Options{Tech: ReRAM, ArraySize: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := atChunkWords(c, 1).NewStreamer(StreamOptions{Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, lanes := range []int{1, 64, 65, 255, 257} {
-		W := (lanes + 63) / 64
-		in := make([]uint64, len(c.InputNames())*W)
-		for i := range in {
-			in[i] = ^uint64(0)
-		}
-		var sink AllSink
-		if err := s.Run(in, lanes, &sink); err != nil {
-			t.Fatal(err)
-		}
-		// a=b=c=1: t = (a&b)^c = 0; lo = t|~a = 0... all false; hi = t&b = 0.
-		// Use the scalar oracle instead of hand-derivation.
-		ref, err := c.Run(map[string]bool{"a": true, "b": true, "c": true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for o, n := range c.OutputNames() {
-			if sink.All[o] != ref[n] {
-				t.Errorf("lanes %d: AllSink[%q] = %v, want %v", lanes, n, sink.All[o], ref[n])
 			}
 		}
 	}
@@ -397,7 +366,7 @@ func TestRunStreamMillionRows(t *testing.T) {
 			}
 		}
 
-		var bitmap BitmapSink
+		var bitmap recordSink
 		if err := s.Run(in, lanes, &bitmap); err != nil {
 			t.Fatal(err)
 		}
@@ -427,10 +396,10 @@ func TestRunStreamValidation(t *testing.T) {
 	if err := s.Run(make([]uint64, 1), 1024, &sink); err == nil {
 		t.Error("short input block should fail")
 	}
-	sel := &SelectSink{Output: 99}
+	sum := &SumBitsSink{Planes: []int{99}}
 	in := randPackedBatch(c, 64, 1)
-	if err := s.Run(in, 64, sel); err == nil {
-		t.Error("out-of-range SelectSink output should fail")
+	if err := s.Run(in, 64, sum); err == nil {
+		t.Error("out-of-range SumBitsSink plane should fail")
 	}
 }
 
@@ -462,7 +431,7 @@ func TestStreamerZeroAlloc(t *testing.T) {
 		}
 	})
 	if allocs > 0 {
-		t.Errorf("warmed RunStream allocates %.1f objects/run, want 0", allocs)
+		t.Errorf("warmed Streamer.Run allocates %.1f objects/run, want 0", allocs)
 	}
 }
 
@@ -496,7 +465,7 @@ func TestPackedRunsConcurrent(t *testing.T) {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				var sink BitmapSink
+				var sink recordSink
 				var out []uint64
 				for r := 0; r < 3*len(lanes); r++ {
 					i := (g + r) % len(lanes)

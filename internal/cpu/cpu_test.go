@@ -130,22 +130,6 @@ func TestWorkloadsScaleWithSize(t *testing.T) {
 	if a2.Cycles <= a1.Cycles {
 		t.Error("AES did not scale")
 	}
-	b1 := RunBitmapScan(h, 64*1000, 8)
-	b2 := RunBitmapScan(h, 64*10000, 8)
-	if b2.Cycles < 8*b1.Cycles {
-		t.Errorf("bitmap scan did not scale: %f vs %f", b1.Cycles, b2.Cycles)
-	}
-	f1 := RunFilterAgg(h, 64*1000, 8)
-	f2 := RunFilterAgg(h, 64*10000, 8)
-	if f2.Cycles < 8*f1.Cycles {
-		t.Errorf("filter+agg did not scale: %f vs %f", f1.Cycles, f2.Cycles)
-	}
-	// The second plane pass of filter+agg re-touches L1-hot words, so it
-	// must cost less than two independent column scans of the same size.
-	two := RunBitmapScan(h, 64*10000, 16)
-	if f2.Cycles >= two.Cycles {
-		t.Errorf("filter+agg (%f cycles) should beat two cold scans (%f)", f2.Cycles, two.Cycles)
-	}
 }
 
 func TestWorkloadCharacteristics(t *testing.T) {

@@ -75,48 +75,6 @@ func RunGateNetwork(h Hierarchy, gates, operands int) Cost {
 	return m.Finish()
 }
 
-// RunBitmapScan scans a bitmap-index query plan (AND/OR/NOT over
-// `columns` predicate bitmaps, popcount-accumulated COUNT) across `rows`
-// rows on the baseline core: the word-at-a-time loop a tuned analytics
-// engine runs — one load per column word, one ALU op to fold it, plus a
-// popcount-accumulate per result word. The column bitmaps stream from
-// DRAM at million-row scale, which is exactly the bulk-bitwise traffic
-// CIM keeps in the array.
-func RunBitmapScan(h Hierarchy, rows, columns int) Cost {
-	m := NewModel(h)
-	words := (rows + 63) / 64
-	for w := 0; w < words; w++ {
-		for c := 0; c < columns; c++ {
-			m.Load(uint64(baseData + (c*words+w)*8))
-			m.ALU(1) // fold into the match accumulator
-		}
-		m.ALU(2) // popcount + count accumulate
-	}
-	return m.Finish()
-}
-
-// RunFilterAgg runs the bit-serial filter+aggregate scan on the baseline
-// core: `rows` values stored as `valueBits` vertical bit-planes, a range
-// predicate folded word-at-a-time over the planes (~2 ALU ops per plane
-// word: borrow-chain update per BitWeaving-style comparison), then a
-// masked popcount per plane to accumulate SUM.
-func RunFilterAgg(h Hierarchy, rows, valueBits int) Cost {
-	m := NewModel(h)
-	words := (rows + 63) / 64
-	for w := 0; w < words; w++ {
-		for b := 0; b < valueBits; b++ {
-			m.Load(uint64(baseData + (b*words+w)*8))
-			m.ALU(2) // predicate borrow-chain update
-		}
-		for b := 0; b < valueBits; b++ {
-			// Masked popcount per plane: the plane word is still L1-hot.
-			m.Load(uint64(baseData + (b*words+w)*8))
-			m.ALU(3) // mask, popcount, weighted accumulate
-		}
-	}
-	return m.Finish()
-}
-
 // RunAES encrypts `blocks` 16-byte blocks with *bit-sliced* software
 // AES-128 — the same kernel form the CIM side executes (the paper's flow
 // compiles the Usuba bit-sliced implementation for both targets). The CPU

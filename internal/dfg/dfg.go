@@ -72,6 +72,7 @@ type Graph struct {
 	inputs      []NodeID // operands with no producer, in creation order
 	outputs     []NodeID // operands marked as kernel outputs, in mark order
 	outputAlias []string // user-facing name per outputs entry; "" for none
+	outPos      []int32  // node -> 1 + its index in outputs; 0 if not an output
 
 	byName map[string]NodeID // explicit operand names and output aliases -> id
 	// maxT is the largest N of a canonical "t<N>" name in byName (NoNode if
@@ -101,6 +102,7 @@ func (g *Graph) addNode(n node) NodeID {
 	g.opOutput = append(g.opOutput, NoNode)
 	g.producer = append(g.producer, NoNode)
 	g.consumers = append(g.consumers, nil)
+	g.outPos = append(g.outPos, 0)
 	return NodeID(len(g.nodes) - 1)
 }
 
@@ -236,10 +238,8 @@ func (g *Graph) MarkOutputNamed(id NodeID, alias string) {
 // OutputName returns the user-facing name of an output operand: its alias
 // if one was given, otherwise its operand name.
 func (g *Graph) OutputName(id NodeID) string {
-	for i, o := range g.outputs {
-		if o == id {
-			return g.outputName(i)
-		}
+	if g.IsOutput(id) {
+		return g.outputName(int(g.outPos[id]) - 1)
 	}
 	return g.Name(id)
 }
@@ -258,13 +258,12 @@ func (g *Graph) MarkOutput(id NodeID) {
 	if !g.isOperand(id) {
 		panic(fmt.Sprintf("dfg: MarkOutput of non-operand %d", id))
 	}
-	for _, o := range g.outputs {
-		if o == id {
-			panic(fmt.Sprintf("dfg: operand %q already marked output", g.Name(id)))
-		}
+	if g.outPos[id] != 0 {
+		panic(fmt.Sprintf("dfg: operand %q already marked output", g.Name(id)))
 	}
 	g.outputs = append(g.outputs, id)
 	g.outputAlias = append(g.outputAlias, "")
+	g.outPos[id] = int32(len(g.outputs))
 }
 
 func (g *Graph) isOperand(id NodeID) bool {
@@ -322,12 +321,7 @@ func (g *Graph) Outputs() []NodeID { return append([]NodeID(nil), g.outputs...) 
 
 // IsOutput reports whether the operand is a kernel output.
 func (g *Graph) IsOutput(id NodeID) bool {
-	for _, o := range g.outputs {
-		if o == id {
-			return true
-		}
-	}
-	return false
+	return id >= 0 && int(id) < len(g.outPos) && g.outPos[id] != 0
 }
 
 // NumOps returns the number of op nodes.
@@ -454,18 +448,6 @@ func (g *Graph) AppendOpPreds(op NodeID, buf []NodeID) []NodeID {
 		}
 	}
 	return buf
-}
-
-// OpSuccs returns the distinct op nodes consuming op's output. Consumers
-// are listed in creation order, so repeats of one consumer are adjacent.
-func (g *Graph) OpSuccs(op NodeID) []NodeID {
-	var succs []NodeID
-	for _, c := range g.consumers[g.opOutput[op]] {
-		if len(succs) == 0 || succs[len(succs)-1] != c {
-			succs = append(succs, c)
-		}
-	}
-	return succs
 }
 
 // TopoOps returns op nodes in a valid topological order. Because AddOp only
@@ -618,6 +600,7 @@ func (g *Graph) Clone() *Graph {
 		inputs:      slices.Clone(g.inputs),
 		outputs:     slices.Clone(g.outputs),
 		outputAlias: slices.Clone(g.outputAlias),
+		outPos:      slices.Clone(g.outPos),
 		byName:      maps.Clone(g.byName),
 		maxT:        g.maxT,
 	}

@@ -179,3 +179,71 @@ func TestGraphConcurrentReaders(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// checkOutputLookups compares IsOutput and OutputName on every node (and
+// two ids outside the graph) against a scan of Outputs/OutputNames, and
+// checks that marking any output again panics.
+func checkOutputLookups(t *testing.T, label string, g *Graph) {
+	t.Helper()
+	pos := make(map[NodeID]int)
+	for i, o := range g.Outputs() {
+		pos[o] = i
+	}
+	names := g.OutputNames()
+	for id := NodeID(0); int(id) < g.NumNodes(); id++ {
+		i, out := pos[id]
+		if g.IsOutput(id) != out {
+			t.Errorf("%s: IsOutput(%d) = %v, want %v", label, id, !out, out)
+		}
+		want := g.Name(id)
+		if out {
+			want = names[i]
+		}
+		if got := g.OutputName(id); got != want {
+			t.Errorf("%s: OutputName(%d) = %q, want %q", label, id, got, want)
+		}
+	}
+	if g.IsOutput(-1) || g.IsOutput(NodeID(g.NumNodes())) {
+		t.Errorf("%s: an id outside the graph reads as an output", label)
+	}
+	for o := range pos {
+		mustPanic(t, label+": second MarkOutput", func() { g.MarkOutput(o) })
+	}
+}
+
+// TestOutputLookups pins the O(1) output lookups on a built graph, its
+// clone (marked further without touching the original) and the graphs
+// SubstituteNodes and LowerToNAND rebuild.
+func TestOutputLookups(t *testing.T) {
+	g := New()
+	x, y, z := g.AddInput("x"), g.AddInput("y"), g.AddInput("z")
+	a := g.AddOp(logic.And, x, y)
+	b := g.AddOp(logic.Or, a, z)
+	c := g.AddOp(logic.Xor, b, x)
+	d := g.AddOpNamed(logic.And, "d", c, a, z)
+	e := g.AddOp(logic.Not, d)
+	g.MarkOutputNamed(a, "first")
+	g.MarkOutput(c)
+	g.MarkOutputNamed(d, "")
+	g.MarkOutputNamed(e, "last")
+	checkOutputLookups(t, "built", g)
+
+	h := g.Clone()
+	f := h.AddOp(logic.Or, e, y)
+	h.MarkOutputNamed(f, "extra")
+	checkOutputLookups(t, "clone", h)
+	if g.IsOutput(f) || len(g.Outputs()) != 4 {
+		t.Error("marking the clone changed the original")
+	}
+	checkOutputLookups(t, "original after clone", g)
+
+	sub, _ := SubstituteNodes(g, SubstituteOptions{MaxOperands: 4, Fraction: 1})
+	checkOutputLookups(t, "SubstituteNodes", sub)
+	low, _ := LowerToNAND(g)
+	checkOutputLookups(t, "LowerToNAND", low)
+	for _, r := range []*Graph{sub, low} {
+		if got, want := r.OutputNames(), g.OutputNames(); !slices.Equal(got, want) {
+			t.Errorf("rebuilt output names %q, want %q", got, want)
+		}
+	}
+}

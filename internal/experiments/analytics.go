@@ -2,25 +2,21 @@ package experiments
 
 import (
 	"fmt"
-	"math/bits"
 	"strings"
-	"time"
 
 	"sherlock"
-	"sherlock/internal/cpu"
 	"sherlock/internal/workloads/analytics"
 )
 
 // AnalyticsConfig sizes the million-row analytics campaign: the streaming
-// pipeline's headline workloads measured end to end against the
-// non-streaming batch path and the baseline-CPU cost model.
+// pipeline's two fused reductions run end to end and checked against the
+// exact host models.
 type AnalyticsConfig struct {
 	// Rows is the table size (row = lane).
 	Rows int
 	// Seed drives the deterministic packed data generators.
 	Seed int64
-	// Parallelism is the streaming shard count / batch-path worker count
-	// (0 = all cores).
+	// Parallelism is the streaming shard count (0 = all cores).
 	Parallelism int
 }
 
@@ -29,49 +25,37 @@ func DefaultAnalyticsConfig() AnalyticsConfig {
 	return AnalyticsConfig{Rows: 1_000_000, Seed: 42}
 }
 
-// AnalyticsRow is one plan's end-to-end result. Count/Sum are
-// deterministic in the config; the rows/sec figures are wall-clock
-// measurements and belong on stderr, not in diffed stdout.
+// AnalyticsRow is one plan's tallies, deterministic in the config.
 type AnalyticsRow struct {
 	Plan string
 	Rows int
 
 	Count int64
 	Sum   uint64 // 0 for pure COUNT plans
-
-	StreamRowsPerSec float64 // RunStream + fused sink
-	BatchRowsPerSec  float64 // RunBatchWords + host reduce
-	CPURowsPerSec    float64 // internal/cpu modeled word-at-a-time scan
-	Speedup          float64 // stream vs batch
 }
 
 // Analytics runs the data-analytics campaign: a bitmap-index COUNT plan
-// and a bit-serial filter+SUM scan over cfg.Rows rows, each executed
-// three ways — streamed through the fused reduction sinks, through one
-// materializing RunBatchWords pass with host-side reduction, and on the
-// modeled baseline CPU. Results are cross-checked against the exact host
-// golden models before any timing is trusted. The clock is injected so
-// the package stays free of ambient time sources.
-func Analytics(cfg AnalyticsConfig, now func() time.Time) ([]AnalyticsRow, error) {
+// and a bit-serial filter+SUM scan over cfg.Rows rows, each streamed
+// through a Streamer into its fused reduction sink and checked against
+// the exact host golden model. Throughput is measured elsewhere (the
+// bench's stream workload and BenchmarkRunStream), so nothing here reads
+// a clock.
+func Analytics(cfg AnalyticsConfig) ([]AnalyticsRow, error) {
 	if cfg.Rows < 1 {
 		return nil, fmt.Errorf("analytics: %d rows", cfg.Rows)
 	}
-	var rows []AnalyticsRow
-
-	scan, err := analyticsScan(cfg, now)
+	scan, err := analyticsScan(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("bitmap scan: %w", err)
 	}
-	rows = append(rows, scan)
-
-	fsum, err := analyticsFilterSum(cfg, now)
+	fsum, err := analyticsFilterSum(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("filter+sum: %w", err)
 	}
-	return append(rows, fsum), nil
+	return []AnalyticsRow{scan, fsum}, nil
 }
 
-func analyticsScan(cfg AnalyticsConfig, now func() time.Time) (AnalyticsRow, error) {
+func analyticsScan(cfg AnalyticsConfig) (AnalyticsRow, error) {
 	plan := analytics.DefaultScanConfig()
 	g, err := analytics.BuildScan(plan)
 	if err != nil {
@@ -97,41 +81,16 @@ func analyticsScan(cfg AnalyticsConfig, now func() time.Time) (AnalyticsRow, err
 	}
 	defer s.Close()
 	var sink sherlock.CountSink
-	streamSec, err := timeRun(now, func() error { return s.Run(in, cfg.Rows, &sink) })
-	if err != nil {
+	if err := s.Run(in, cfg.Rows, &sink); err != nil {
 		return AnalyticsRow{}, err
 	}
 	if sink.Counts[0] != want {
 		return AnalyticsRow{}, fmt.Errorf("streamed count %d != host %d", sink.Counts[0], want)
 	}
-
-	var out []uint64
-	batchSec, err := timeRun(now, func() error {
-		var err error
-		out, err = c.RunBatchWords(in, cfg.Rows, out, cfg.Parallelism)
-		return err
-	})
-	if err != nil {
-		return AnalyticsRow{}, err
-	}
-	W := (cfg.Rows + 63) / 64
-	if got := hostPop(out[:W]); got != want {
-		return AnalyticsRow{}, fmt.Errorf("batch count %d != host %d", got, want)
-	}
-
-	cpuCost := cpu.RunBitmapScan(cpu.DefaultHierarchy(), cfg.Rows, plan.Columns)
-	return AnalyticsRow{
-		Plan:             "bitmap-index COUNT",
-		Rows:             cfg.Rows,
-		Count:            want,
-		StreamRowsPerSec: rate(cfg.Rows, streamSec),
-		BatchRowsPerSec:  rate(cfg.Rows, batchSec),
-		CPURowsPerSec:    rate(cfg.Rows, cpuCost.LatencyNS*1e-9),
-		Speedup:          batchSec / streamSec,
-	}, nil
+	return AnalyticsRow{Plan: "bitmap-index COUNT", Rows: cfg.Rows, Count: want}, nil
 }
 
-func analyticsFilterSum(cfg AnalyticsConfig, now func() time.Time) (AnalyticsRow, error) {
+func analyticsFilterSum(cfg AnalyticsConfig) (AnalyticsRow, error) {
 	plan := analytics.DefaultFilterSumConfig()
 	g, err := analytics.BuildFilterSum(plan)
 	if err != nil {
@@ -142,8 +101,7 @@ func analyticsFilterSum(cfg AnalyticsConfig, now func() time.Time) (AnalyticsRow
 		return AnalyticsRow{}, err
 	}
 	names := c.InputNames()
-	outNames := c.OutputNames()
-	planes, match, err := analytics.SumPlanes(outNames, plan.ValueBits)
+	planes, match, err := analytics.SumPlanes(c.OutputNames(), plan.ValueBits)
 	if err != nil {
 		return AnalyticsRow{}, err
 	}
@@ -161,73 +119,23 @@ func analyticsFilterSum(cfg AnalyticsConfig, now func() time.Time) (AnalyticsRow
 		return AnalyticsRow{}, err
 	}
 	defer s.Close()
-	sink := sherlock.SumBitsSink{Planes: planes}
-	streamSec, err := timeRun(now, func() error { return s.Run(in, cfg.Rows, &sink) })
-	if err != nil {
+	var count sherlock.CountSink
+	if err := s.Run(in, cfg.Rows, &count); err != nil {
 		return AnalyticsRow{}, err
 	}
-	if sink.Sum != wantSum {
-		return AnalyticsRow{}, fmt.Errorf("streamed sum %d != host %d", sink.Sum, wantSum)
-	}
-
-	var out []uint64
-	batchSec, err := timeRun(now, func() error {
-		var err error
-		out, err = c.RunBatchWords(in, cfg.Rows, out, cfg.Parallelism)
-		return err
-	})
-	if err != nil {
+	sum := sherlock.SumBitsSink{Planes: planes}
+	if err := s.Run(in, cfg.Rows, &sum); err != nil {
 		return AnalyticsRow{}, err
 	}
-	W := (cfg.Rows + 63) / 64
-	var gotSum uint64
-	for i, o := range planes {
-		gotSum += uint64(hostPop(out[o*W:(o+1)*W])) << uint(i)
+	if count.Counts[match] != wantCount || sum.Sum != wantSum {
+		return AnalyticsRow{}, fmt.Errorf("streamed count/sum %d/%d != host %d/%d",
+			count.Counts[match], sum.Sum, wantCount, wantSum)
 	}
-	gotCount := hostPop(out[match*W : (match+1)*W])
-	if gotSum != wantSum || gotCount != wantCount {
-		return AnalyticsRow{}, fmt.Errorf("batch count/sum %d/%d != host %d/%d",
-			gotCount, gotSum, wantCount, wantSum)
-	}
-
-	cpuCost := cpu.RunFilterAgg(cpu.DefaultHierarchy(), cfg.Rows, plan.ValueBits)
-	return AnalyticsRow{
-		Plan:             "filter+SUM (bit-serial)",
-		Rows:             cfg.Rows,
-		Count:            wantCount,
-		Sum:              wantSum,
-		StreamRowsPerSec: rate(cfg.Rows, streamSec),
-		BatchRowsPerSec:  rate(cfg.Rows, batchSec),
-		CPURowsPerSec:    rate(cfg.Rows, cpuCost.LatencyNS*1e-9),
-		Speedup:          batchSec / streamSec,
-	}, nil
+	return AnalyticsRow{Plan: "filter+SUM (bit-serial)", Rows: cfg.Rows, Count: wantCount, Sum: wantSum}, nil
 }
 
-func timeRun(now func() time.Time, f func() error) (float64, error) {
-	t0 := now()
-	if err := f(); err != nil {
-		return 0, err
-	}
-	sec := now().Sub(t0).Seconds()
-	if sec <= 0 {
-		sec = 1e-9 // degenerate injected clocks must not divide by zero
-	}
-	return sec, nil
-}
-
-func hostPop(words []uint64) int64 {
-	var n int64
-	for _, w := range words {
-		n += int64(bits.OnesCount64(w))
-	}
-	return n
-}
-
-func rate(rows int, sec float64) float64 { return float64(rows) / sec }
-
-// RenderAnalytics prints the deterministic tally table — byte-identical
-// across runs and parallelism settings (timing belongs on stderr via
-// RenderAnalyticsTiming).
+// RenderAnalytics prints the tally table — byte-identical across runs and
+// parallelism settings.
 func RenderAnalytics(rows []AnalyticsRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Analytics: streamed plans over %d rows\n", rowsOf(rows))
@@ -238,19 +146,6 @@ func RenderAnalytics(rows []AnalyticsRow) string {
 			sum = fmt.Sprintf("%d", r.Sum)
 		}
 		fmt.Fprintf(&b, "%-26s %12d %16s\n", r.Plan, r.Count, sum)
-	}
-	return b.String()
-}
-
-// RenderAnalyticsTiming prints the wall-clock throughput comparison (for
-// stderr: the numbers vary run to run).
-func RenderAnalyticsTiming(rows []AnalyticsRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-26s %14s %14s %14s %9s\n",
-		"plan", "stream rows/s", "batch rows/s", "cpu rows/s", "spdup")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-26s %14.3g %14.3g %14.3g %8.2fx\n",
-			r.Plan, r.StreamRowsPerSec, r.BatchRowsPerSec, r.CPURowsPerSec, r.Speedup)
 	}
 	return b.String()
 }

@@ -15,8 +15,6 @@ package reliability
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"sherlock/internal/device"
 	"sherlock/internal/isa"
@@ -85,19 +83,4 @@ type Point struct {
 	EnergyPJ           float64
 	PApp               float64
 	Instructions       int
-}
-
-// SortPointsByLatency orders sweep points for plotting.
-func SortPointsByLatency(pts []Point) {
-	sort.Slice(pts, func(i, j int) bool { return pts[i].LatencyNS < pts[j].LatencyNS })
-}
-
-// MTBFOps returns the expected number of program executions between
-// failures (1/P_app), a convenience for reports; returns +Inf when P_app
-// is zero.
-func (r Report) MTBFOps() float64 {
-	if r.PApp <= 0 {
-		return math.Inf(1)
-	}
-	return 1 / r.PApp
 }

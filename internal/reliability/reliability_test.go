@@ -21,9 +21,6 @@ func TestAssessEmptyProgram(t *testing.T) {
 	if rep.PApp != 0 || rep.SenseDecisions != 0 {
 		t.Errorf("empty program: %+v", rep)
 	}
-	if rep.MTBFOps() != math.Inf(1) && rep.MTBFOps() < 1e300 {
-		t.Errorf("MTBF for zero P_app should be effectively infinite, got %g", rep.MTBFOps())
-	}
 }
 
 func TestAssessSingleOpMatchesDevice(t *testing.T) {
@@ -118,13 +115,5 @@ func TestTechOrderingAtAppLevel(t *testing.T) {
 	stt, _ := Assess(p, device.ParamsFor(device.STTMRAM))
 	if re.PApp*100 > stt.PApp {
 		t.Errorf("ReRAM P_app %g not clearly below STT-MRAM %g", re.PApp, stt.PApp)
-	}
-}
-
-func TestSortPointsByLatency(t *testing.T) {
-	pts := []Point{{LatencyNS: 3}, {LatencyNS: 1}, {LatencyNS: 2}}
-	SortPointsByLatency(pts)
-	if pts[0].LatencyNS != 1 || pts[2].LatencyNS != 3 {
-		t.Errorf("unsorted: %+v", pts)
 	}
 }

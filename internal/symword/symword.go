@@ -46,9 +46,6 @@ func Outputs(b *dfg.Builder, prefix string, w Word) {
 	}
 }
 
-// Width returns the number of bits.
-func (w Word) Width() int { return len(w) }
-
 func checkSameWidth(op string, x, y Word) {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("symword: %s width mismatch %d vs %d", op, len(x), len(y)))
@@ -103,19 +100,6 @@ func ZeroExtend(b *dfg.Builder, x Word, width int) Word {
 	copy(out, x)
 	for i := len(x); i < width; i++ {
 		out[i] = b.Const(false)
-	}
-	return out
-}
-
-// SignExtend returns x widened to width bits by replicating the sign bit.
-func SignExtend(b *dfg.Builder, x Word, width int) Word {
-	if len(x) == 0 || width < len(x) {
-		panic(fmt.Sprintf("symword: cannot sign-extend %d bits to %d", len(x), width))
-	}
-	out := make(Word, width)
-	copy(out, x)
-	for i := len(x); i < width; i++ {
-		out[i] = x[len(x)-1]
 	}
 	return out
 }
@@ -242,104 +226,4 @@ func LessThan(b *dfg.Builder, x, y Word) dfg.Val {
 		lt = b.Or(xiLTyi, b.And(eq, lt))
 	}
 	return lt
-}
-
-// GreaterThan returns the single-bit unsigned predicate x > y.
-func GreaterThan(b *dfg.Builder, x, y Word) dfg.Val {
-	return LessThan(b, y, x)
-}
-
-// halfAdder returns (sum, carry) of two bits.
-func halfAdder(b *dfg.Builder, x, y dfg.Val) (dfg.Val, dfg.Val) {
-	return b.Xor(x, y), b.And(x, y)
-}
-
-// Compress3 is a carry-save 3:2 compressor: it reduces three same-width
-// addends to two words satisfying x + y + z = sum + carry as integers, in
-// one full-adder level with no carry propagation. sum keeps the input
-// width; carry is one bit wider (its LSB is constant zero after shifting
-// the per-bit majorities up one weight).
-func Compress3(b *dfg.Builder, x, y, z Word) (sum, carry Word) {
-	checkSameWidth("compress3", x, y)
-	checkSameWidth("compress3", x, z)
-	sum = make(Word, len(x))
-	carry = make(Word, len(x)+1)
-	carry[0] = b.Const(false)
-	for i := range x {
-		sum[i], carry[i+1] = fullAdder(b, x[i], y[i], z[i])
-	}
-	return sum, carry
-}
-
-// Popcount returns the number of set bits of x as a ceil(log2(w+1))-bit
-// word, built as a column-reduction counter tree: each weight column is
-// squeezed with full adders (3 bits -> sum + carry) and a final half adder,
-// carries rippling into the next column, until one bit per column remains.
-func Popcount(b *dfg.Builder, x Word) Word {
-	if len(x) == 0 {
-		panic("symword: popcount of empty word")
-	}
-	cols := [][]dfg.Val{append([]dfg.Val(nil), x...)}
-	push := func(c int, v dfg.Val) {
-		for len(cols) <= c {
-			cols = append(cols, nil)
-		}
-		cols[c] = append(cols[c], v)
-	}
-	for c := 0; c < len(cols); c++ {
-		for len(cols[c]) > 1 {
-			if len(cols[c]) >= 3 {
-				s, cy := fullAdder(b, cols[c][0], cols[c][1], cols[c][2])
-				cols[c] = append(cols[c][3:], s)
-				push(c+1, cy)
-			} else {
-				s, cy := halfAdder(b, cols[c][0], cols[c][1])
-				cols[c] = append(cols[c][2:], s)
-				push(c+1, cy)
-			}
-		}
-	}
-	out := make(Word, len(cols))
-	for c := range out {
-		out[c] = cols[c][0]
-	}
-	return out
-}
-
-// MulCarrySave returns x * y as a (len(x)+len(y))-bit word: AND-gate
-// partial products are reduced column-wise with 3:2 compressors (carry-save,
-// no intermediate carry chains) until every weight holds at most two bits,
-// and a single ripple adder resolves the final two addends.
-func MulCarrySave(b *dfg.Builder, x, y Word) Word {
-	if len(x) == 0 || len(y) == 0 {
-		panic("symword: multiply of empty word")
-	}
-	width := len(x) + len(y)
-	cols := make([][]dfg.Val, width)
-	for i := range x {
-		for j := range y {
-			cols[i+j] = append(cols[i+j], b.And(x[i], y[j]))
-		}
-	}
-	for c := 0; c < len(cols); c++ {
-		for len(cols[c]) > 2 {
-			s, cy := fullAdder(b, cols[c][0], cols[c][1], cols[c][2])
-			cols[c] = append(cols[c][3:], s)
-			if c+1 < len(cols) {
-				cols[c+1] = append(cols[c+1], cy)
-			}
-		}
-	}
-	addA := make(Word, width)
-	addB := make(Word, width)
-	for c := 0; c < width; c++ {
-		addA[c], addB[c] = b.Const(false), b.Const(false)
-		if len(cols[c]) > 0 {
-			addA[c] = cols[c][0]
-		}
-		if len(cols[c]) > 1 {
-			addB[c] = cols[c][1]
-		}
-	}
-	return AddMod(b, addA, addB)
 }

@@ -144,18 +144,14 @@ func TestExtendAndShift(t *testing.T) {
 	b := dfg.NewBuilder()
 	x := Inputs(b, "x", 4)
 	ze := ZeroExtend(b, x, 6)
-	if ze.Width() != 6 {
+	if len(ze) != 6 {
 		t.Fatal("zero extend width")
 	}
 	if c, v := ze[5].IsConst(); !c || v {
 		t.Fatal("zero extension bits must be constant false")
 	}
-	se := SignExtend(b, x, 6)
-	if se[5] != x[3] {
-		t.Fatal("sign extension must replicate MSB")
-	}
 	sl := ShiftLeft(b, x, 2)
-	if sl.Width() != 6 || sl[2] != x[0] {
+	if len(sl) != 6 || sl[2] != x[0] {
 		t.Fatal("shift left wiring wrong")
 	}
 	if c, v := sl[0].IsConst(); !c || v {
@@ -166,7 +162,6 @@ func TestExtendAndShift(t *testing.T) {
 func TestComparatorsExhaustive(t *testing.T) {
 	h := newHarness(4, 4)
 	h.b.Output("lt", LessThan(h.b, h.x, h.y))
-	h.b.Output("gt", GreaterThan(h.b, h.x, h.y))
 	h.b.Output("eq", Equal(h.b, h.x, h.y))
 	g := h.b.Graph()
 	for a := uint64(0); a < 16; a++ {
@@ -180,8 +175,8 @@ func TestComparatorsExhaustive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res["lt"] != (a < c) || res["gt"] != (a > c) || res["eq"] != (a == c) {
-				t.Fatalf("compare(%d,%d): lt=%v gt=%v eq=%v", a, c, res["lt"], res["gt"], res["eq"])
+			if res["lt"] != (a < c) || res["eq"] != (a == c) {
+				t.Fatalf("compare(%d,%d): lt=%v eq=%v", a, c, res["lt"], res["eq"])
 			}
 		}
 	}

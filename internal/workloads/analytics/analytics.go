@@ -1,13 +1,13 @@
 // Package analytics generates the data-analytics workloads the streaming
 // pipeline exists for: bitmap-index query plans (AND/OR/NOT over
-// million-row predicate bitmaps, answered by COUNT without materializing
-// the match bitmap) and a bit-serial filter+aggregate scan (range
-// predicate over a packed value column, SUM of the matching values folded
-// from predicate-masked bit-planes). Both come with deterministic packed
-// data generators in the facade's slot-major RunBatchWords layout and
-// word-level host golden models, so CIM-simulated streaming runs are
-// checked bit for bit and tallied against exact references at any row
-// count.
+// million-row predicate bitmaps, answered by a Streamer into CountSink
+// without materializing the match bitmap) and a bit-serial
+// filter+aggregate scan (range predicate over a packed value column, SUM
+// of the matching values folded by SumBitsSink from predicate-masked
+// bit-planes). Both come with deterministic packed data generators in the
+// facade's slot-major RunBatchWords layout and word-level host golden
+// models, so the streamed COUNT and SUM are checked against exact
+// references at any row count.
 package analytics
 
 import (
@@ -144,7 +144,7 @@ func slotCol(name, prefix string) (int, error) {
 
 // PackedData builds the slot-major packed input block for rows rows in
 // the order of names (the compiled program's InputNames) — the layout
-// RunBatchWords and RunStream consume directly. Deterministic in
+// RunBatchWords and Streamer.Run consume directly. Deterministic in
 // (names, rows, seed).
 func PackedData(names []string, prefix string, rows int, seed int64) ([]uint64, error) {
 	W := (rows + 63) / 64

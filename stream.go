@@ -1,12 +1,12 @@
 package sherlock
 
 // Streaming execution: the facade over internal/sim's chunked stream.
-// Each Compiled owns one stream; RunBatchWords and RunStream/Streamer are
+// Each Compiled owns one stream; RunBatchWords and Streamer.Run are the
 // two ways to consume it. The input block is split into cache-sized
 // chunks, each shard packs, executes and reduces its chunks inline on one
-// wide ExecMachine, and fused word-level reduction sinks (popcount-
-// accumulate, any/all, select-mask gather, bit-plane sums) answer
-// aggregate queries without ever materializing full output bitmaps.
+// wide ExecMachine, and the two fused word-level reduction sinks
+// (popcount-accumulate COUNT, bit-plane SUM) answer aggregate queries
+// without ever materializing full output bitmaps.
 
 import (
 	"fmt"
@@ -16,7 +16,7 @@ import (
 	"sherlock/internal/sim"
 )
 
-// StreamOptions configures RunStream / NewStreamer.
+// StreamOptions configures NewStreamer.
 type StreamOptions struct {
 	// Parallelism caps the shard count of each run — chunks executed
 	// concurrently, each shard on its own machine (0, or more than
@@ -45,8 +45,8 @@ func (g streamGeom) numOut() int { return len(g.outNames) }
 // shard, and chunks arrive in arbitrary order; every provided sink folds
 // shard- or chunk-local state so results are deterministic regardless of
 // scheduling. The interface is sealed (unexported methods): the provided
-// sinks — BitmapSink, CountSink, AnySink, AllSink, SelectSink,
-// SumBitsSink — cover materialization and the fused reductions.
+// sinks are CountSink and SumBitsSink. RunBatchWords materializes the
+// output bitmaps when a caller needs them.
 type StreamSink interface {
 	// begin prepares for a run; implementations reuse prior allocations,
 	// so a warmed sink adds nothing to the steady-state allocation count.
@@ -63,8 +63,7 @@ type StreamSink interface {
 // Compiled plus a per-run shard cap. Runs execute on the Compiled's one
 // stream, so overlapping Runs on one Streamer are allowed, each with its
 // own sink, and a warmed Streamer+sink pair allocates nothing. A Streamer
-// holds no goroutines; Close makes later runs fail. RunStream is the
-// one-shot convenience.
+// holds no goroutines; Close makes later runs fail.
 type Streamer struct {
 	c      *Compiled
 	shards int
@@ -96,16 +95,13 @@ func shardCap(st *sim.Stream, n int) int {
 // ChunkLanes returns the chunk width in lanes.
 func (s *Streamer) ChunkLanes() int { return s.c.streamVal.ChunkLanes() }
 
-// Shards returns the maximum number of chunks one run executes
-// concurrently.
-func (s *Streamer) Shards() int { return s.shards }
-
 // Close makes later Runs fail. Idempotent; runs in flight complete.
 func (s *Streamer) Close() { s.closed.Store(true) }
 
 // Run streams lanes packed input vectors (RunBatchWords slot-major layout,
-// stride ceil(lanes/64)) through the stream into sink. A warmed
-// Streamer+sink pair runs with zero allocations.
+// stride ceil(lanes/64)) through the stream into sink. The sink sees the
+// words of RunBatchWords' output block, bit for bit, whatever the chunking
+// or sharding. A warmed Streamer+sink pair runs with zero allocations.
 func (s *Streamer) Run(in []uint64, lanes int, sink StreamSink) error {
 	if s.closed.Load() {
 		return fmt.Errorf("sherlock: Run on a closed Streamer")
@@ -248,65 +244,6 @@ func (r *packedRun) reduceChunk(shard int, m *sim.ExecMachine, chunk, start, lan
 	return r.sink.consume(shard, chunk, start, lanes, buf[:len(r.places)*cw], cw)
 }
 
-// RunStream streams lanes packed input vectors through the chunked
-// pack→execute→reduce loop into sink — the large-batch fast path. It
-// builds a one-shot Streamer; callers running many streams over the same
-// program should hold a NewStreamer instead (zero steady-state
-// allocations). Outputs are bit-identical to RunBatchWords whatever the
-// chunking or sharding.
-func (c *Compiled) RunStream(in []uint64, lanes int, sink StreamSink, opts StreamOptions) error {
-	s, err := c.NewStreamer(opts)
-	if err != nil {
-		return err
-	}
-	return s.Run(in, lanes, sink)
-}
-
-// liveMask returns the live-lane mask of chunk word b for a chunk of
-// `lanes` lanes spanning cw words.
-func liveMask(lanes, cw, b int) uint64 {
-	if b < cw-1 {
-		return ^uint64(0)
-	}
-	if rem := lanes % sim.WordLanes; rem != 0 {
-		return uint64(1)<<uint(rem) - 1
-	}
-	return ^uint64(0)
-}
-
-// BitmapSink materializes every output bitmap in RunBatchWords layout:
-// after a run, Out is output-major with stride W = ceil(lanes/64), word
-// out[o*W+w] carrying output o of lanes 64w..64w+63, dead lanes zero. Out
-// is reused when its capacity suffices — the streaming replacement for
-// RunBatchWords' output block. Shards write disjoint word ranges, so no
-// merge step exists.
-type BitmapSink struct {
-	Out []uint64
-
-	w int // run stride, set at begin
-}
-
-func (k *BitmapSink) begin(g streamGeom) error {
-	k.w = (g.lanes + 63) / 64
-	need := g.numOut() * k.w
-	if cap(k.Out) < need {
-		k.Out = make([]uint64, need)
-	} else {
-		k.Out = k.Out[:need]
-	}
-	return nil
-}
-
-func (k *BitmapSink) consume(shard, chunk, start, lanes int, out []uint64, cw int) error {
-	w0 := start / 64
-	for o := 0; o*cw < len(out); o++ {
-		copy(k.Out[o*k.w+w0:o*k.w+w0+cw], out[o*cw:(o+1)*cw])
-	}
-	return nil
-}
-
-func (k *BitmapSink) end(streamGeom) error { return nil }
-
 // CountSink is the popcount-accumulate reduction: after a run, Counts[o]
 // is how many lanes set output o (OutputNames order) — COUNT(*) over a
 // bitmap-index plan without materializing the match bitmap.
@@ -339,140 +276,6 @@ func (k *CountSink) end(streamGeom) error {
 		for o, n := range acc {
 			k.Counts[o] += n
 		}
-	}
-	return nil
-}
-
-// AnySink reduces each output to EXISTS: Any[o] reports whether any lane
-// set output o.
-type AnySink struct {
-	Any []bool
-
-	shard [][]bool
-}
-
-func (k *AnySink) begin(g streamGeom) error {
-	k.Any = resizeBool(k.Any, g.numOut(), false)
-	k.shard = resizeShardsBool(k.shard, g.shards, g.numOut(), false)
-	return nil
-}
-
-func (k *AnySink) consume(shard, chunk, start, lanes int, out []uint64, cw int) error {
-	acc := k.shard[shard]
-	for o := range acc {
-		if acc[o] {
-			continue
-		}
-		for _, w := range out[o*cw : (o+1)*cw] {
-			if w != 0 {
-				acc[o] = true
-				break
-			}
-		}
-	}
-	return nil
-}
-
-func (k *AnySink) end(streamGeom) error {
-	for _, acc := range k.shard {
-		for o, v := range acc {
-			if v {
-				k.Any[o] = true
-			}
-		}
-	}
-	return nil
-}
-
-// AllSink reduces each output to FORALL: All[o] reports whether every lane
-// set output o. Dead lanes do not count against it.
-type AllSink struct {
-	All []bool
-
-	shard [][]bool
-}
-
-func (k *AllSink) begin(g streamGeom) error {
-	k.All = resizeBool(k.All, g.numOut(), true)
-	k.shard = resizeShardsBool(k.shard, g.shards, g.numOut(), true)
-	return nil
-}
-
-func (k *AllSink) consume(shard, chunk, start, lanes int, out []uint64, cw int) error {
-	acc := k.shard[shard]
-	for o := range acc {
-		if !acc[o] {
-			continue
-		}
-		for b, w := range out[o*cw : (o+1)*cw] {
-			if mask := liveMask(lanes, cw, b); w&mask != mask {
-				acc[o] = false
-				break
-			}
-		}
-	}
-	return nil
-}
-
-func (k *AllSink) end(streamGeom) error {
-	for _, acc := range k.shard {
-		for o, v := range acc {
-			if !v {
-				k.All[o] = false
-			}
-		}
-	}
-	return nil
-}
-
-// SelectSink is the select-mask gather: after a run, Rows holds the global
-// lane indices whose Output bit (OutputNames index, default 0) is set, in
-// ascending order — the row-ID list of a filter query. Matches gather into
-// per-chunk buckets and concatenate in chunk order, so the result is
-// deterministic whatever the scheduling; buckets and Rows reuse their
-// capacity across runs.
-type SelectSink struct {
-	// Output selects which output drives the mask.
-	Output int
-	Rows   []int64
-
-	buckets [][]int64
-}
-
-func (k *SelectSink) begin(g streamGeom) error {
-	if k.Output < 0 || k.Output >= g.numOut() {
-		return fmt.Errorf("sherlock: SelectSink output %d outside %d outputs", k.Output, g.numOut())
-	}
-	if cap(k.buckets) < g.chunks {
-		old := k.buckets
-		k.buckets = make([][]int64, g.chunks)
-		copy(k.buckets, old)
-	} else {
-		k.buckets = k.buckets[:g.chunks]
-	}
-	for i := range k.buckets {
-		k.buckets[i] = k.buckets[i][:0]
-	}
-	return nil
-}
-
-func (k *SelectSink) consume(shard, chunk, start, lanes int, out []uint64, cw int) error {
-	bucket := k.buckets[chunk]
-	for b, w := range out[k.Output*cw : (k.Output+1)*cw] {
-		base := int64(start + b*64)
-		for w != 0 {
-			bucket = append(bucket, base+int64(bits.TrailingZeros64(w)))
-			w &= w - 1
-		}
-	}
-	k.buckets[chunk] = bucket
-	return nil
-}
-
-func (k *SelectSink) end(streamGeom) error {
-	k.Rows = k.Rows[:0]
-	for _, bucket := range k.buckets {
-		k.Rows = append(k.Rows, bucket...)
 	}
 	return nil
 }
@@ -560,34 +363,6 @@ func resizeShardsI64(s [][]int64, shards, n int) [][]int64 {
 	}
 	for i := range s {
 		s[i] = resizeI64(s[i], n)
-	}
-	return s
-}
-
-// resizeBool returns a bool slice of length n filled with v, reusing
-// capacity.
-func resizeBool(s []bool, n int, v bool) []bool {
-	if cap(s) < n {
-		s = make([]bool, n)
-	} else {
-		s = s[:n]
-	}
-	for i := range s {
-		s[i] = v
-	}
-	return s
-}
-
-func resizeShardsBool(s [][]bool, shards, n int, v bool) [][]bool {
-	if cap(s) < shards {
-		old := s
-		s = make([][]bool, shards)
-		copy(s, old)
-	} else {
-		s = s[:shards]
-	}
-	for i := range s {
-		s[i] = resizeBool(s[i], n, v)
 	}
 	return s
 }
