@@ -172,17 +172,38 @@ func BenchmarkMapperOptimizedAES(b *testing.B) {
 	}
 }
 
-// BenchmarkCompileTable2 builds and compiles the three paper kernels at
-// Table 2 scale (AES-128, Sobel 4x4, BitWeaving-V 32bx16) the way the
-// compile workload of bench/ does: Alg. 2 on four 512x512 STT-MRAM arrays
-// with both static gates on. Every DFG walk of the compiler — b-levels,
-// the ready walker, clustering, emission, the AIG lift — runs here.
-func BenchmarkCompileTable2(b *testing.B) {
-	builds := []func() (*dfg.Graph, error){
-		func() (*dfg.Graph, error) { return aes.Build(aes.DefaultConfig()) },
-		func() (*dfg.Graph, error) { return sobel.Build(sobel.DefaultConfig()) },
-		func() (*dfg.Graph, error) { return bitweaving.Build(bitweaving.DefaultConfig()) },
+// table2Builds builds the three paper kernels at Table 2 scale (AES-128,
+// Sobel 4x4, BitWeaving-V 32bx16).
+var table2Builds = []struct {
+	name  string
+	build func() (*dfg.Graph, error)
+}{
+	{"aes", func() (*dfg.Graph, error) { return aes.Build(aes.DefaultConfig()) }},
+	{"sobel", func() (*dfg.Graph, error) { return sobel.Build(sobel.DefaultConfig()) }},
+	{"bitweaving", func() (*dfg.Graph, error) { return bitweaving.Build(bitweaving.DefaultConfig()) }},
+}
+
+// BenchmarkBuildTable2 times graph construction alone for each Table 2
+// kernel: the Builder's folding and CSE and the graph's node records.
+func BenchmarkBuildTable2(b *testing.B) {
+	for _, k := range table2Builds {
+		b.Run(k.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := k.build(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
+}
+
+// BenchmarkCompileTable2 builds and compiles the three Table 2 kernels the
+// way the compile workload of bench/ does: Alg. 2 on four 512x512 STT-MRAM
+// arrays with both static gates on. Every DFG walk of the compiler —
+// b-levels, the ready walker, clustering, emission, the AIG lift — runs
+// here.
+func BenchmarkCompileTable2(b *testing.B) {
 	opts := sherlock.Options{
 		Tech: sherlock.STTMRAM, ArraySize: 512, Arrays: 4, Mapper: sherlock.MapperOptimized,
 		VerifyEmitted: true, VerifyEquivalence: true,
@@ -191,8 +212,8 @@ func BenchmarkCompileTable2(b *testing.B) {
 	instructions := 0
 	for i := 0; i < b.N; i++ {
 		instructions = 0
-		for _, build := range builds {
-			g, err := build()
+		for _, k := range table2Builds {
+			g, err := k.build()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -283,19 +304,26 @@ func BenchmarkMapperOptimizedSynthetic(b *testing.B) {
 	}
 }
 
-// BenchmarkMapperSynthetic100k maps a 100k-op synthetic DFG end to end —
-// roughly 8x the 12k benchmark. It exists to catch super-linear scaling in
-// the clusterer or scheduler: a quadratic term that hides inside the 12k
-// run dominates outright at this size.
-func BenchmarkMapperSynthetic100k(b *testing.B) {
-	g := buildSyntheticDFG(b, 256, 100000)
-	t := layout.Target{Arrays: 16, Rows: 512, Cols: 512} // ~6.6k clusters need >4096 columns
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mapping.Optimized(g, mapping.Options{Target: t}); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkMapperSynthetic maps synthetic DFGs of 25k, 100k and 400k ops
+// end to end, with the arrays scaled as 16 per 100k ops (100k ops form
+// ~6.6k clusters, more than 4096 columns hold). It exists to catch
+// super-linear scaling in the clusterer or scheduler: a quadratic term
+// that hides inside the 12k run dominates outright at these sizes, and
+// the us_per_op metric should stay flat from one size to the next.
+func BenchmarkMapperSynthetic(b *testing.B) {
+	for _, k := range []int{25, 100, 400} {
+		b.Run(fmt.Sprintf("%dk", k), func(b *testing.B) {
+			g := buildSyntheticDFG(b, 256, k*1000)
+			t := layout.Target{Arrays: 16 * k / 100, Rows: 512, Cols: 512}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := mapping.Optimized(g, mapping.Options{Target: t}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*g.NumOps()), "us_per_op")
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package dfg
 
 import (
 	"fmt"
+	"math/bits"
 
 	"sherlock/internal/logic"
 )
@@ -32,21 +33,21 @@ func (v Val) ID() NodeID {
 // elimination. It is the programmatic equivalent of the paper's
 // pycparser-based front-end and is used by the workload generators.
 type Builder struct {
-	g   *Graph
-	cse map[cseKey]Val
+	g *Graph
+	// cse is an open-addressed, linearly probed set of the ops emit
+	// created, each stored as its op ID + 1 (0 is a free slot). A probe
+	// compares the candidate against the op's own node record and input
+	// edges, so the table holds no copy of any key.
+	cse  []int32
+	cseN int // occupied slots
 	// DisableCSE turns off structural hashing (useful to stress the
 	// mappers with redundant graphs).
 	DisableCSE bool
 }
 
-type cseKey struct {
-	op   logic.Op
-	a, b NodeID // b = NoNode for unary
-}
-
 // NewBuilder returns a Builder over a fresh graph.
 func NewBuilder() *Builder {
-	return &Builder{g: New(), cse: make(map[cseKey]Val)}
+	return &Builder{g: New(), cse: make([]int32, 64)}
 }
 
 // Graph returns the graph built so far. The builder may continue to be
@@ -94,7 +95,7 @@ func (b *Builder) Not(a Val) Val {
 	}
 	// Double negation: if a was produced by a NOT, return its input.
 	if p := b.g.Producer(a.id); p != NoNode && b.g.OpType(p) == logic.Not {
-		return Val{id: b.g.opInputs[p][0]}
+		return Val{id: b.g.ins(p)[0]}
 	}
 	return b.emit(logic.Not, a)
 }
@@ -223,32 +224,79 @@ func (b *Builder) emit(op logic.Op, ins ...Val) Val {
 	for _, v := range ins {
 		ids = append(ids, v.id)
 	}
-	key := makeKey(op, ids)
-	if !b.DisableCSE {
-		if v, ok := b.cse[key]; ok {
-			return v
-		}
+	if b.DisableCSE {
+		return Val{id: b.g.AddOp(op, ids...)}
 	}
-	out := Val{id: b.g.AddOp(op, ids...)}
-	if !b.DisableCSE {
-		b.cse[key] = out
+	x, y := cseOperands(op, ids)
+	slot := b.cseFind(op, x, y)
+	if e := b.cse[slot]; e != 0 {
+		return Val{id: b.g.OpOutput(NodeID(e - 1))}
 	}
-	return out
+	out := b.g.AddOp(op, ids...)
+	b.cse[slot] = int32(b.g.Producer(out)) + 1
+	if b.cseN++; 2*b.cseN > len(b.cse) {
+		b.cseGrow()
+	}
+	return Val{id: out}
 }
 
-func makeKey(op logic.Op, ids []NodeID) cseKey {
+// cseOperands returns the CSE key operands of a unary or binary op: the
+// input and NoNode for a unary op, the inputs in ascending order for a
+// commutative one.
+func cseOperands(op logic.Op, ids []NodeID) (NodeID, NodeID) {
 	if len(ids) == 1 {
-		return cseKey{op: op, a: ids[0], b: NoNode}
+		return ids[0], NoNode
 	}
 	a, c := ids[0], ids[1]
-	// Commutative binary ops hash order-independently.
 	switch op {
 	case logic.And, logic.Or, logic.Xor, logic.Nand, logic.Nor, logic.Xnor:
 		if a > c {
 			a, c = c, a
 		}
 	}
-	return cseKey{op: op, a: a, b: c}
+	return a, c
+}
+
+// cseSlot is the home slot of key (op, x, y) in a table of 2^nbits slots
+// (Fibonacci hashing: the top bits of the key times 2^64/phi).
+func cseSlot(op logic.Op, x, y NodeID, nbits int) int {
+	k := uint64(x)<<32 ^ uint64(uint32(y)) ^ uint64(op)<<58
+	return int((k * 0x9E3779B97F4A7C15) >> (64 - nbits))
+}
+
+// cseFind returns the slot holding the op with key (op, x, y), or the free
+// slot where it belongs. The table is never more than half full.
+func (b *Builder) cseFind(op logic.Op, x, y NodeID) int {
+	mask := len(b.cse) - 1
+	g := b.g
+	for i := cseSlot(op, x, y, bits.Len(uint(mask))); ; i = (i + 1) & mask {
+		e := b.cse[i]
+		if e == 0 {
+			return i
+		}
+		id := NodeID(e - 1)
+		if logic.Op(g.nodes[id].op) == op {
+			if ex, ey := cseOperands(op, g.ins(id)); ex == x && ey == y {
+				return i
+			}
+		}
+	}
+}
+
+// cseGrow doubles the table and re-places every op, reading each key back
+// from the graph. No two ops in the table share a key, so each probe ends
+// at a free slot.
+func (b *Builder) cseGrow() {
+	old := b.cse
+	b.cse = make([]int32, 2*len(old))
+	for _, e := range old {
+		if e != 0 {
+			id := NodeID(e - 1)
+			op := b.g.OpType(id)
+			x, y := cseOperands(op, b.g.ins(id))
+			b.cse[b.cseFind(op, x, y)] = e
+		}
+	}
 }
 
 // InputNames returns the kernel input names in creation order.

@@ -13,6 +13,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"sherlock/internal/logic"
 )
@@ -42,37 +43,40 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
+// node is one node's record. Every field is a number, so the record slice
+// holds no pointers and the garbage collector never scans it.
 type node struct {
-	kind Kind
-	op   logic.Op // KindOp only
-	name string   // explicit operand name; "" when synthesized (see Name)
+	kind   Kind
+	op     uint8 // logic.Op; KindOp only
+	name   int32 // 1 + index into Graph.names; 0 when synthesized (see Name)
+	outPos int32 // 1 + index into Graph.outputs; 0 if not an output
+	// link is an op's result operand, or an operand's producing op
+	// (NoNode for kernel inputs).
+	link  int32
+	inOff int32 // op inputs: Graph.edges[inOff : inOff+inLen]
+	inLen int32
 }
 
 // Graph is a bulk-bitwise data-flow graph. Construct with New and the Add*
 // methods; graphs are acyclic by construction (ops may only consume operands
 // that already exist).
 //
-// Every relation is a slice indexed by NodeID and grown with nodes, so the
-// many walks of one compile (b-levels, the ready walker, clustering,
-// emission, the AIG lift) index instead of hashing. Default names are not
-// stored: op labels and intermediate operand names are formatted by Name
-// on demand, and byName holds only explicit names.
+// Each node is one record in a flat slice indexed by NodeID, and every op's
+// inputs are a span of one shared edge arena, so building a graph appends
+// to three slices and the many walks of one compile (b-levels, the ready
+// walker, clustering, emission, the AIG lift) index instead of hashing.
+// Consumer lists and b-levels are derived on first read (see derived).
+// Default names are not stored: op labels and intermediate operand names
+// are formatted by Name on demand, and byName holds only explicit names.
 type Graph struct {
 	nodes  []node
+	edges  []NodeID // op inputs, one contiguous span per op
+	names  []string // explicit operand names, indexed by node.name-1
 	numOps int
-
-	// Op node relations (nil / NoNode on operand nodes).
-	opInputs [][]NodeID // op -> ordered input operands
-	opOutput []NodeID   // op -> result operand
-
-	// Operand relations (NoNode / nil on op nodes).
-	producer  []NodeID   // operand -> op producing it (NoNode if input)
-	consumers [][]NodeID // operand -> ops consuming it
 
 	inputs      []NodeID // operands with no producer, in creation order
 	outputs     []NodeID // operands marked as kernel outputs, in mark order
 	outputAlias []string // user-facing name per outputs entry; "" for none
-	outPos      []int32  // node -> 1 + its index in outputs; 0 if not an output
 
 	byName map[string]NodeID // explicit operand names and output aliases -> id
 	// maxT is the largest N of a canonical "t<N>" name in byName (NoNode if
@@ -80,12 +84,27 @@ type Graph struct {
 	// explicit name.
 	maxT NodeID
 
-	// B-level cache: b-levels are needed several times per compile
-	// (clustering, code generation) but only change when nodes are added.
-	// Guarded by mu so concurrent campaign workers can share one graph.
+	// derived is published once per node count: built under mu by the
+	// first reader after a change, dropped by addNode. Concurrent campaign
+	// workers can therefore share one finished graph.
 	mu      sync.Mutex
-	blCache []int32 // b-level per node (op entries only), nil when stale
-	maxBL   int32   // maximum b-level, valid when blCache is
+	derived atomic.Pointer[derived]
+}
+
+// derived is what the records determine but do not store: the consumer
+// lists in CSR form (ascending by op, an op listed once per input edge)
+// and the b-levels. Needed several times per compile, it changes only when
+// nodes are added.
+type derived struct {
+	consOff []int32  // node -> start of its consumers in cons; len NumNodes()+1
+	cons    []NodeID // consumer ops of every operand, operand by operand
+	bl      []int32  // b-level per node (op entries only)
+	maxBL   int32    // maximum b-level
+}
+
+// consumers returns operand's consumer ops (a view into the CSR).
+func (d *derived) consumers(operand NodeID) []NodeID {
+	return d.cons[d.consOff[operand]:d.consOff[operand+1]]
 }
 
 // New returns an empty graph.
@@ -94,16 +113,77 @@ func New() *Graph {
 }
 
 func (g *Graph) addNode(n node) NodeID {
-	g.mu.Lock()
-	g.blCache = nil
-	g.mu.Unlock()
+	if g.derived.Load() != nil {
+		g.derived.Store(nil)
+	}
 	g.nodes = append(g.nodes, n)
-	g.opInputs = append(g.opInputs, nil)
-	g.opOutput = append(g.opOutput, NoNode)
-	g.producer = append(g.producer, NoNode)
-	g.consumers = append(g.consumers, nil)
-	g.outPos = append(g.outPos, 0)
 	return NodeID(len(g.nodes) - 1)
+}
+
+// ins returns an op's input span of the edge arena; callers must not
+// append to it.
+func (g *Graph) ins(op NodeID) []NodeID {
+	n := &g.nodes[op]
+	return g.edges[n.inOff : n.inOff+n.inLen : n.inOff+n.inLen]
+}
+
+// derivedCache returns the published derived data, building it first if a
+// node was added since the last read.
+func (g *Graph) derivedCache() *derived {
+	if d := g.derived.Load(); d != nil {
+		return d
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	d := g.derived.Load()
+	if d == nil {
+		d = g.buildDerived()
+		g.derived.Store(d)
+	}
+	return d
+}
+
+// buildDerived fills the consumer CSR in one pass over the records (ops in
+// ascending order, so each list comes out ascending), then the b-levels in
+// one reverse pass. The b-level recurrence maximizes over an op's
+// consumers directly (duplicate consumers cannot change a maximum), so no
+// per-op successor set is materialized. The scheduling order itself is
+// streamed by ReadyWalker.
+func (g *Graph) buildDerived() *derived {
+	n := len(g.nodes)
+	d := &derived{
+		consOff: make([]int32, n+1),
+		cons:    make([]NodeID, len(g.edges)),
+		bl:      make([]int32, n),
+	}
+	for _, in := range g.edges {
+		d.consOff[in+1]++
+	}
+	for i := 1; i <= n; i++ {
+		d.consOff[i] += d.consOff[i-1]
+	}
+	next := slices.Clone(d.consOff[:n])
+	for id := range g.nodes {
+		if g.nodes[id].kind != KindOp {
+			continue
+		}
+		for _, in := range g.ins(NodeID(id)) {
+			d.cons[next[in]] = NodeID(id)
+			next[in]++
+		}
+	}
+	for id := n - 1; id >= 0; id-- {
+		if g.nodes[id].kind != KindOp {
+			continue
+		}
+		best := int32(0)
+		for _, c := range d.consumers(NodeID(g.nodes[id].link)) {
+			best = max(best, d.bl[c])
+		}
+		d.bl[id] = best + 1
+		d.maxBL = max(d.maxBL, d.bl[id])
+	}
+	return d
 }
 
 // AddInput creates a kernel-input operand with the given unique name.
@@ -123,12 +203,13 @@ func (g *Graph) addOperand(name string) NodeID {
 				panic(fmt.Sprintf("dfg: duplicate operand name %q", t))
 			}
 		}
-		return g.addNode(node{kind: KindOperand})
+		return g.addNode(node{kind: KindOperand, link: int32(NoNode)})
 	}
 	if g.nameTaken(name) {
 		panic(fmt.Sprintf("dfg: duplicate operand name %q", name))
 	}
-	id := g.addNode(node{kind: KindOperand, name: name})
+	g.names = append(g.names, name)
+	id := g.addNode(node{kind: KindOperand, name: int32(len(g.names)), link: int32(NoNode)})
 	g.bindName(name, id)
 	return id
 }
@@ -159,7 +240,7 @@ func parseSynthName(name string) (NodeID, bool) {
 // operand exists and carries its synthesized name.
 func (g *Graph) synthesizedOperand(name string) (NodeID, bool) {
 	id, ok := parseSynthName(name)
-	if !ok || !g.isOperand(id) || g.nodes[id].name != "" {
+	if !ok || !g.isOperand(id) || g.nodes[id].name != 0 {
 		return NoNode, false
 	}
 	return id, true
@@ -209,15 +290,15 @@ func (g *Graph) AddOpNamed(op logic.Op, resultName string, ins ...NodeID) NodeID
 			panic(fmt.Sprintf("dfg: op input %d is not an operand of this graph", in))
 		}
 	}
-	opID := g.addNode(node{kind: KindOp, op: op})
+	opID := g.addNode(node{
+		kind: KindOp, op: uint8(op), link: int32(NoNode),
+		inOff: int32(len(g.edges)), inLen: int32(len(ins)),
+	})
 	g.numOps++
-	g.opInputs[opID] = append([]NodeID(nil), ins...)
+	g.edges = append(g.edges, ins...)
 	out := g.addOperand(resultName)
-	g.opOutput[opID] = out
-	g.producer[out] = opID
-	for _, in := range ins {
-		g.consumers[in] = append(g.consumers[in], opID)
-	}
+	g.nodes[opID].link = int32(out)
+	g.nodes[out].link = int32(opID)
 	return out
 }
 
@@ -239,7 +320,7 @@ func (g *Graph) MarkOutputNamed(id NodeID, alias string) {
 // if one was given, otherwise its operand name.
 func (g *Graph) OutputName(id NodeID) string {
 	if g.IsOutput(id) {
-		return g.outputName(int(g.outPos[id]) - 1)
+		return g.outputName(int(g.nodes[id].outPos) - 1)
 	}
 	return g.Name(id)
 }
@@ -258,12 +339,12 @@ func (g *Graph) MarkOutput(id NodeID) {
 	if !g.isOperand(id) {
 		panic(fmt.Sprintf("dfg: MarkOutput of non-operand %d", id))
 	}
-	if g.outPos[id] != 0 {
+	if g.nodes[id].outPos != 0 {
 		panic(fmt.Sprintf("dfg: operand %q already marked output", g.Name(id)))
 	}
 	g.outputs = append(g.outputs, id)
 	g.outputAlias = append(g.outputAlias, "")
-	g.outPos[id] = int32(len(g.outputs))
+	g.nodes[id].outPos = int32(len(g.outputs))
 }
 
 func (g *Graph) isOperand(id NodeID) bool {
@@ -285,7 +366,7 @@ func (g *Graph) OpType(id NodeID) logic.Op {
 	if !g.isOp(id) {
 		panic(fmt.Sprintf("dfg: OpType of non-op node %d", id))
 	}
-	return g.nodes[id].op
+	return logic.Op(g.nodes[id].op)
 }
 
 // Name returns the node's name: an operand's explicit name, or the
@@ -293,10 +374,10 @@ func (g *Graph) OpType(id NodeID) logic.Op {
 func (g *Graph) Name(id NodeID) string {
 	n := &g.nodes[id]
 	switch {
-	case n.name != "":
-		return n.name
+	case n.name != 0:
+		return g.names[n.name-1]
 	case n.kind == KindOp:
-		return n.op.String() + "_" + strconv.Itoa(int(id))
+		return logic.Op(n.op).String() + "_" + strconv.Itoa(int(id))
 	}
 	return synthOperandName(id)
 }
@@ -321,7 +402,7 @@ func (g *Graph) Outputs() []NodeID { return append([]NodeID(nil), g.outputs...) 
 
 // IsOutput reports whether the operand is a kernel output.
 func (g *Graph) IsOutput(id NodeID) bool {
-	return id >= 0 && int(id) < len(g.outPos) && g.outPos[id] != 0
+	return id >= 0 && int(id) < len(g.nodes) && g.nodes[id].outPos != 0
 }
 
 // NumOps returns the number of op nodes.
@@ -355,7 +436,7 @@ func (g *Graph) OpInputs(op NodeID) []NodeID {
 	if !g.isOp(op) {
 		panic(fmt.Sprintf("dfg: OpInputs of non-op node %d", op))
 	}
-	return append([]NodeID(nil), g.opInputs[op]...)
+	return append([]NodeID(nil), g.ins(op)...)
 }
 
 // AppendOpInputs appends the ordered input operands of an op node to buf
@@ -365,7 +446,7 @@ func (g *Graph) AppendOpInputs(op NodeID, buf []NodeID) []NodeID {
 	if !g.isOp(op) {
 		panic(fmt.Sprintf("dfg: AppendOpInputs of non-op node %d", op))
 	}
-	return append(buf, g.opInputs[op]...)
+	return append(buf, g.ins(op)...)
 }
 
 // NumOpInputs returns the arity of an op node without copying its inputs.
@@ -373,7 +454,7 @@ func (g *Graph) NumOpInputs(op NodeID) int {
 	if !g.isOp(op) {
 		panic(fmt.Sprintf("dfg: NumOpInputs of non-op node %d", op))
 	}
-	return len(g.opInputs[op])
+	return int(g.nodes[op].inLen)
 }
 
 // OpOutput returns the result operand of an op node.
@@ -381,7 +462,7 @@ func (g *Graph) OpOutput(op NodeID) NodeID {
 	if !g.isOp(op) {
 		panic(fmt.Sprintf("dfg: OpOutput of non-op node %d", op))
 	}
-	return g.opOutput[op]
+	return NodeID(g.nodes[op].link)
 }
 
 // Producer returns the op node producing the operand, or NoNode for kernel
@@ -390,7 +471,7 @@ func (g *Graph) Producer(operand NodeID) NodeID {
 	if !g.isOperand(operand) {
 		panic(fmt.Sprintf("dfg: Producer of non-operand node %d", operand))
 	}
-	return g.producer[operand]
+	return NodeID(g.nodes[operand].link)
 }
 
 // Consumers returns the op nodes consuming the operand (a copy).
@@ -398,7 +479,7 @@ func (g *Graph) Consumers(operand NodeID) []NodeID {
 	if !g.isOperand(operand) {
 		panic(fmt.Sprintf("dfg: Consumers of non-operand node %d", operand))
 	}
-	return append([]NodeID(nil), g.consumers[operand]...)
+	return append([]NodeID(nil), g.derivedCache().consumers(operand)...)
 }
 
 // AppendConsumers appends the op nodes consuming the operand to buf and
@@ -407,7 +488,7 @@ func (g *Graph) AppendConsumers(operand NodeID, buf []NodeID) []NodeID {
 	if !g.isOperand(operand) {
 		panic(fmt.Sprintf("dfg: AppendConsumers of non-operand node %d", operand))
 	}
-	return append(buf, g.consumers[operand]...)
+	return append(buf, g.derivedCache().consumers(operand)...)
 }
 
 // NumConsumers returns how many op nodes consume the operand without
@@ -416,7 +497,8 @@ func (g *Graph) NumConsumers(operand NodeID) int {
 	if !g.isOperand(operand) {
 		panic(fmt.Sprintf("dfg: NumConsumers of non-operand node %d", operand))
 	}
-	return len(g.consumers[operand])
+	d := g.derivedCache()
+	return int(d.consOff[operand+1] - d.consOff[operand])
 }
 
 // OpPreds returns the distinct op nodes whose outputs feed op, in input
@@ -431,8 +513,8 @@ func (g *Graph) OpPreds(op NodeID) []NodeID {
 // arities real kernels have.
 func (g *Graph) AppendOpPreds(op NodeID, buf []NodeID) []NodeID {
 	start := len(buf)
-	for _, in := range g.opInputs[op] {
-		p := g.producer[in]
+	for _, in := range g.ins(op) {
+		p := NodeID(g.nodes[in].link)
 		if p == NoNode {
 			continue
 		}
@@ -454,54 +536,16 @@ func (g *Graph) AppendOpPreds(op NodeID, buf []NodeID) []NodeID {
 // references pre-existing operands, creation order is already topological.
 func (g *Graph) TopoOps() []NodeID { return g.OpNodes() }
 
-// ensureBLevels computes and caches the b-levels and their maximum.
-// Callers must hold g.mu. The b-level recurrence maximizes over an op's
-// consumers directly (duplicate consumers cannot change a maximum), so no
-// per-op successor set is materialized. The scheduling order itself is
-// streamed by ReadyWalker.
-func (g *Graph) ensureBLevels() {
-	if g.blCache != nil {
-		return
-	}
-	bl := make([]int32, len(g.nodes))
-	ops := g.OpNodes()
-	maxBL := int32(0)
-	for i := len(ops) - 1; i >= 0; i-- {
-		op := ops[i]
-		best := int32(0)
-		for _, c := range g.consumers[g.opOutput[op]] {
-			if bl[c] > best {
-				best = bl[c]
-			}
-		}
-		bl[op] = best + 1
-		if bl[op] > maxBL {
-			maxBL = bl[op]
-		}
-	}
-	g.blCache, g.maxBL = bl, maxBL
-}
-
 // BLevelsDense returns the b-levels (longest path to any sink, counting op
 // nodes as weight 1) as a flat slice indexed by NodeID (entries for operand
 // nodes are zero). The caller owns the returned copy; the mapper indexes
 // it directly in its scoring loop instead of hashing NodeIDs.
 func (g *Graph) BLevelsDense() []int32 {
-	g.mu.Lock()
-	g.ensureBLevels()
-	out := append([]int32(nil), g.blCache...)
-	g.mu.Unlock()
-	return out
+	return slices.Clone(g.derivedCache().bl)
 }
 
 // CriticalPathLength returns the maximum b-level (0 for an empty graph).
-func (g *Graph) CriticalPathLength() int {
-	g.mu.Lock()
-	g.ensureBLevels()
-	best := g.maxBL
-	g.mu.Unlock()
-	return int(best)
-}
+func (g *Graph) CriticalPathLength() int { return int(g.derivedCache().maxBL) }
 
 // Stats summarizes a graph.
 type Stats struct {
@@ -521,13 +565,14 @@ type Stats struct {
 func (g *Graph) ComputeStats() Stats {
 	s := Stats{ByOp: make(map[logic.Op]int)}
 	for id := range g.nodes {
-		switch g.nodes[id].kind {
+		n := &g.nodes[id]
+		switch n.kind {
 		case KindOperand:
 			s.Operands++
 		case KindOp:
 			s.Ops++
-			s.ByOp[g.nodes[id].op]++
-			ar := len(g.opInputs[NodeID(id)])
+			s.ByOp[logic.Op(n.op)]++
+			ar := int(n.inLen)
 			if ar > s.MaxArity {
 				s.MaxArity = ar
 			}
@@ -547,10 +592,14 @@ func (g *Graph) ComputeStats() Stats {
 func (g *Graph) Validate() error {
 	for id := range g.nodes {
 		nid := NodeID(id)
-		switch g.nodes[id].kind {
+		n := &g.nodes[id]
+		switch n.kind {
 		case KindOp:
-			ins := g.opInputs[nid]
-			op := g.nodes[id].op
+			if n.inOff < 0 || n.inLen < 0 || int(n.inOff)+int(n.inLen) > len(g.edges) {
+				return fmt.Errorf("op %d inputs lie outside the edge arena", id)
+			}
+			ins := g.ins(nid)
+			op := logic.Op(n.op)
 			if op.IsUnary() && len(ins) != 1 {
 				return fmt.Errorf("op %d (%v) has %d inputs, want 1", id, op, len(ins))
 			}
@@ -565,15 +614,15 @@ func (g *Graph) Validate() error {
 					return fmt.Errorf("op %d consumes operand %d created later (cycle risk)", id, in)
 				}
 			}
-			out := g.opOutput[nid]
+			out := NodeID(n.link)
 			if !g.isOperand(out) {
 				return fmt.Errorf("op %d has no output operand", id)
 			}
-			if g.producer[out] != nid {
+			if NodeID(g.nodes[out].link) != nid {
 				return fmt.Errorf("op %d output %d producer mismatch", id, out)
 			}
 		case KindOperand:
-			if p := g.producer[nid]; p != NoNode && !g.isOp(p) {
+			if p := NodeID(n.link); p != NoNode && !g.isOp(p) {
 				return fmt.Errorf("operand %d producer %d is not an op", id, p)
 			}
 		default:
@@ -588,29 +637,18 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// Clone returns a deep copy of the graph.
+// Clone returns a deep copy of the graph. The derived data is rebuilt on
+// the clone's first read.
 func (g *Graph) Clone() *Graph {
 	return &Graph{
 		nodes:       slices.Clone(g.nodes),
+		edges:       slices.Clone(g.edges),
+		names:       slices.Clone(g.names),
 		numOps:      g.numOps,
-		opInputs:    cloneLists(g.opInputs),
-		opOutput:    slices.Clone(g.opOutput),
-		producer:    slices.Clone(g.producer),
-		consumers:   cloneLists(g.consumers),
 		inputs:      slices.Clone(g.inputs),
 		outputs:     slices.Clone(g.outputs),
 		outputAlias: slices.Clone(g.outputAlias),
-		outPos:      slices.Clone(g.outPos),
 		byName:      maps.Clone(g.byName),
 		maxT:        g.maxT,
 	}
-}
-
-// cloneLists deep-copies a per-node list relation.
-func cloneLists(ls [][]NodeID) [][]NodeID {
-	out := make([][]NodeID, len(ls))
-	for i, l := range ls {
-		out[i] = slices.Clone(l)
-	}
-	return out
 }

@@ -31,7 +31,7 @@ func (g *Graph) WriteDOT(w io.Writer, title string) error {
 				id, label, shape, fill)
 		case KindOp:
 			fmt.Fprintf(&sb, "  n%d [label=<%s <font color=\"red\">%d</font>> shape=box style=filled fillcolor=lightblue];\n",
-				id, g.nodes[id].op, bl[nid])
+				id, g.OpType(nid), bl[nid])
 		}
 	}
 	for id := range g.nodes {
@@ -39,10 +39,10 @@ func (g *Graph) WriteDOT(w io.Writer, title string) error {
 		if g.nodes[id].kind != KindOp {
 			continue
 		}
-		for _, in := range g.opInputs[nid] {
+		for _, in := range g.ins(nid) {
 			fmt.Fprintf(&sb, "  n%d -> n%d;\n", in, id)
 		}
-		fmt.Fprintf(&sb, "  n%d -> n%d;\n", id, g.opOutput[nid])
+		fmt.Fprintf(&sb, "  n%d -> n%d;\n", id, g.OpOutput(nid))
 	}
 	sb.WriteString("}\n")
 	_, err := io.WriteString(w, sb.String())

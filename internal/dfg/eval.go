@@ -1,6 +1,10 @@
 package dfg
 
-import "fmt"
+import (
+	"fmt"
+
+	"sherlock/internal/logic"
+)
 
 // Evaluate computes every operand's value given an assignment of all kernel
 // inputs. It is the golden functional semantics against which the mapped
@@ -15,15 +19,16 @@ func Evaluate(g *Graph, inputs map[NodeID]bool) (map[NodeID]bool, error) {
 		vals[in] = v
 	}
 	for _, op := range g.TopoOps() {
-		bits := make([]bool, len(g.opInputs[op]))
-		for i, in := range g.opInputs[op] {
+		ins := g.ins(op)
+		bits := make([]bool, len(ins))
+		for i, in := range ins {
 			v, ok := vals[in]
 			if !ok {
 				return nil, fmt.Errorf("dfg: operand %q used before defined", g.Name(in))
 			}
 			bits[i] = v
 		}
-		vals[g.opOutput[op]] = g.nodes[op].op.Eval(bits...)
+		vals[g.OpOutput(op)] = g.OpType(op).Eval(bits...)
 	}
 	return vals, nil
 }
@@ -113,11 +118,12 @@ func (ev *WordEvaluator) Eval(inputs []uint64) []uint64 {
 	}
 	for _, op := range ev.ops {
 		words := ev.scratch[:0]
-		for _, in := range g.opInputs[op] {
+		for _, in := range g.ins(op) {
 			words = append(words, ev.vals[in])
 		}
 		ev.scratch = words[:0]
-		ev.vals[g.opOutput[op]] = g.nodes[op].op.EvalWords(words...)
+		n := &g.nodes[op]
+		ev.vals[n.link] = logic.Op(n.op).EvalWords(words...)
 	}
 	for j, o := range g.outputs {
 		ev.out[j] = ev.vals[o]

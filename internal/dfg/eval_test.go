@@ -31,12 +31,13 @@ func TestEquivalentOnDetectsDifference(t *testing.T) {
 
 func TestValidateCatchesCorruption(t *testing.T) {
 	g, _, _ := buildDiamond()
-	// Corrupt internals deliberately: producer mismatch.
+	// Corrupt internals deliberately: the result operand's link names
+	// another op as its producer.
 	ops := g.OpNodes()
 	out := g.OpOutput(ops[0])
-	g.producer[out] = ops[1]
+	g.nodes[out].link = int32(ops[1])
 	if err := g.Validate(); err == nil {
-		t.Error("corrupted producer map passed validation")
+		t.Error("corrupted producer link passed validation")
 	}
 }
 

@@ -2,6 +2,7 @@ package dfg
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -245,5 +246,231 @@ func TestOutputLookups(t *testing.T) {
 		if got, want := r.OutputNames(), g.OutputNames(); !slices.Equal(got, want) {
 			t.Errorf("rebuilt output names %q, want %q", got, want)
 		}
+	}
+}
+
+// checkSameGraph compares two graphs node for node: kinds, names, op
+// types, inputs, results and producers, then the input and output lists
+// with their user-facing names.
+func checkSameGraph(t *testing.T, label string, got, want *Graph) {
+	t.Helper()
+	if got.NumNodes() != want.NumNodes() || got.NumOps() != want.NumOps() {
+		t.Fatalf("%s: %d nodes / %d ops, want %d / %d", label,
+			got.NumNodes(), got.NumOps(), want.NumNodes(), want.NumOps())
+	}
+	for id := NodeID(0); int(id) < want.NumNodes(); id++ {
+		k := want.Kind(id)
+		if got.Kind(id) != k || got.Name(id) != want.Name(id) {
+			t.Fatalf("%s: node %d is %v %q, want %v %q", label, id, got.Kind(id), got.Name(id), k, want.Name(id))
+		}
+		if k == KindOp {
+			if got.OpType(id) != want.OpType(id) || got.OpOutput(id) != want.OpOutput(id) ||
+				!slices.Equal(got.OpInputs(id), want.OpInputs(id)) {
+				t.Fatalf("%s: op %d is %v%v -> %d, want %v%v -> %d", label, id,
+					got.OpType(id), got.OpInputs(id), got.OpOutput(id),
+					want.OpType(id), want.OpInputs(id), want.OpOutput(id))
+			}
+		} else if got.Producer(id) != want.Producer(id) {
+			t.Fatalf("%s: operand %d producer %d, want %d", label, id, got.Producer(id), want.Producer(id))
+		}
+	}
+	if !slices.Equal(got.Inputs(), want.Inputs()) || !slices.Equal(got.Outputs(), want.Outputs()) ||
+		!slices.Equal(got.OutputNames(), want.OutputNames()) {
+		t.Fatalf("%s: inputs %v outputs %v %q, want %v %v %q", label,
+			got.Inputs(), got.Outputs(), got.OutputNames(),
+			want.Inputs(), want.Outputs(), want.OutputNames())
+	}
+}
+
+// checkSameDerived compares everything the derived cache serves:
+// consumers by all three accessors, b-levels, the critical path and the
+// ready walker's issue order at two window sizes.
+func checkSameDerived(t *testing.T, label string, got, want *Graph) {
+	t.Helper()
+	var buf []NodeID
+	for _, o := range want.Operands() {
+		wc := want.Consumers(o)
+		buf = got.AppendConsumers(o, buf[:0])
+		if !slices.Equal(got.Consumers(o), wc) || !slices.Equal(buf, wc) || got.NumConsumers(o) != len(wc) {
+			t.Fatalf("%s: consumers of %d = %v, want %v", label, o, got.Consumers(o), wc)
+		}
+	}
+	if !slices.Equal(got.BLevelsDense(), want.BLevelsDense()) {
+		t.Fatalf("%s: b-levels differ", label)
+	}
+	if got.CriticalPathLength() != want.CriticalPathLength() {
+		t.Fatalf("%s: critical path %d, want %d", label, got.CriticalPathLength(), want.CriticalPathLength())
+	}
+	for _, window := range []int{1, 4} {
+		if !slices.Equal(walk(got, window), walk(want, window)) {
+			t.Fatalf("%s: window-%d walk differs", label, window)
+		}
+	}
+}
+
+// TestGraphDerivedCacheInvalidation reads the consumer lists and b-levels
+// of a graph between batches of added ops, and of a clone grown apart
+// from it: after every batch each must read as a graph built in one go
+// and never read before.
+func TestGraphDerivedCacheInvalidation(t *testing.T) {
+	const nInputs, batch, batches = 8, 40, 6
+	grow := func(g *Graph, rng *rand.Rand, n int) {
+		ops := []logic.Op{logic.And, logic.Or, logic.Xor, logic.Nand, logic.Not}
+		for i := 0; i < n; i++ {
+			operands := g.Operands()
+			a := operands[rng.Intn(len(operands))]
+			op := ops[rng.Intn(len(ops))]
+			if op == logic.Not {
+				g.AddOp(op, a)
+				continue
+			}
+			// Inputs may repeat: an op then consumes one operand twice.
+			g.AddOp(op, a, operands[rng.Intn(len(operands))], operands[rng.Intn(len(operands))])
+		}
+	}
+	fresh := func(seed int64, n int) *Graph {
+		g := New()
+		for i := 0; i < nInputs; i++ {
+			g.AddInput("")
+		}
+		grow(g, rand.New(rand.NewSource(seed)), n)
+		return g
+	}
+
+	g := New()
+	for i := 0; i < nInputs; i++ {
+		g.AddInput("")
+	}
+	checkSameDerived(t, "inputs only", g, fresh(1, 0))
+	rng := rand.New(rand.NewSource(1))
+	for k := 1; k <= batches; k++ {
+		grow(g, rng, batch)
+		want := fresh(1, k*batch)
+		checkSameGraph(t, fmt.Sprintf("batch %d", k), g, want)
+		checkSameDerived(t, fmt.Sprintf("batch %d", k), g, want)
+	}
+
+	// A clone starts without the original's cache, and growing either
+	// leaves the other's reads alone.
+	c := g.Clone()
+	crng := rand.New(rand.NewSource(2))
+	grow(c, crng, batch)
+	want := fresh(1, batches*batch)
+	checkSameDerived(t, "original after clone grew", g, want)
+	wantClone := want.Clone()
+	grow(wantClone, rand.New(rand.NewSource(2)), batch)
+	checkSameDerived(t, "grown clone", c, wantClone)
+}
+
+// cseRef is the reference CSE the Builder's table must agree with: a map
+// from (op, canonical inputs) to the result operand, over a plain graph.
+type cseRef struct {
+	g    *Graph
+	cse  map[[3]NodeID]NodeID
+	hits int
+}
+
+func (r *cseRef) emit(op logic.Op, disable bool, ids ...NodeID) NodeID {
+	key := [3]NodeID{NodeID(op), ids[0], NoNode}
+	if len(ids) == 2 {
+		key[2] = ids[1]
+		if op != logic.Copy && op != logic.Not && key[1] > key[2] {
+			key[1], key[2] = key[2], key[1]
+		}
+	}
+	if disable {
+		return r.g.AddOp(op, ids...)
+	}
+	if out, ok := r.cse[key]; ok {
+		r.hits++
+		return out
+	}
+	out := r.g.AddOp(op, ids...)
+	r.cse[key] = out
+	return out
+}
+
+// TestGraphCSEMatchesMapReference drives seeded random expression streams
+// through a Builder and, step for step, through a map-based CSE over a
+// plain graph: emitted unary and binary ops (repeated and commuted, so
+// most are hits), double negations, outputs that force a copy past the
+// table, ops added behind the table's back, and CSE switched off and on.
+// The two graphs must match node for node, names and outputs included.
+func TestGraphCSEMatchesMapReference(t *testing.T) {
+	ops := []logic.Op{logic.And, logic.Or, logic.Xor, logic.Nand, logic.Nor, logic.Xnor, logic.Not, logic.Copy}
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		b := NewBuilder()
+		ref := &cseRef{g: New(), cse: make(map[[3]NodeID]NodeID)}
+		var vals []NodeID
+		for i := 0; i < 4; i++ {
+			name := fmt.Sprintf("in%d", i)
+			b.Input(name)
+			vals = append(vals, ref.g.AddInput(name))
+		}
+		pick := func() NodeID {
+			// Most picks come from the first 8 values, so keys repeat;
+			// the rest nest recent values or reach anywhere.
+			switch rng.Intn(8) {
+			case 0, 1, 2, 3, 4:
+				return vals[rng.Intn(min(len(vals), 8))]
+			case 5, 6:
+				return vals[len(vals)-1-rng.Intn(min(len(vals), 12))]
+			}
+			return vals[rng.Intn(len(vals))]
+		}
+		outs := 0
+		for step := 0; step < 4000; step++ {
+			var got, want NodeID
+			switch r := rng.Intn(100); {
+			case r < 2:
+				name := fmt.Sprintf("x%d", step)
+				got, want = b.Input(name).ID(), ref.g.AddInput(name)
+			case r < 5: // an op the table never sees
+				x, y := pick(), pick()
+				got, want = b.Graph().AddOp(logic.Xor, x, y), ref.g.AddOp(logic.Xor, x, y)
+			case r < 8: // a second output on one operand adds a copy
+				v := pick()
+				name := fmt.Sprintf("out%d", outs)
+				outs++
+				b.Output(name, Val{id: v})
+				if ref.g.IsOutput(v) {
+					v = ref.g.AddOp(logic.Copy, v)
+				}
+				ref.g.MarkOutputNamed(v, name)
+				continue
+			case r < 10:
+				b.DisableCSE = !b.DisableCSE
+				continue
+			case r < 20: // double negation folds to the NOT's input
+				x := pick()
+				got = b.Not(Val{id: x}).ID()
+				if p := ref.g.Producer(x); p != NoNode && ref.g.OpType(p) == logic.Not {
+					want = ref.g.OpInputs(p)[0]
+				} else {
+					want = ref.emit(logic.Not, b.DisableCSE, x)
+				}
+			default:
+				op := ops[rng.Intn(len(ops))]
+				ids := []NodeID{pick()}
+				if !op.IsUnary() {
+					ids = append(ids, pick())
+				}
+				in := make([]Val, len(ids))
+				for i, id := range ids {
+					in[i] = Val{id: id}
+				}
+				got, want = b.emit(op, in...).ID(), ref.emit(op, b.DisableCSE, ids...)
+			}
+			if got != want {
+				t.Fatalf("seed %d step %d: builder returned %d, reference %d", seed, step, got, want)
+			}
+			vals = append(vals, got)
+		}
+		checkSameGraph(t, fmt.Sprintf("seed %d", seed), b.Graph(), ref.g)
+		if len(ref.cse) < 500 || ref.hits < 500 {
+			t.Fatalf("seed %d: %d keys and %d hits are too few to grow and probe the table", seed, len(ref.cse), ref.hits)
+		}
+		t.Logf("seed %d: %d ops, %d keys, %d hits", seed, ref.g.NumOps(), len(ref.cse), ref.hits)
 	}
 }

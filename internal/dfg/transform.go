@@ -67,12 +67,12 @@ func SubstituteNodes(g *Graph, opt SubstituteOptions) (*Graph, SubstituteStats) 
 		if !t.Associative() {
 			continue
 		}
-		for _, in := range g.opInputs[c] {
+		for _, in := range g.ins(c) {
 			p := g.Producer(in)
 			if p == NoNode || g.OpType(p) != t {
 				continue
 			}
-			if len(g.consumers[in]) != 1 || g.IsOutput(in) {
+			if g.NumConsumers(in) != 1 || g.IsOutput(in) {
 				continue
 			}
 			candidates = append(candidates, mergeEdge{producer: p, consumer: c})
@@ -93,7 +93,7 @@ func SubstituteNodes(g *Graph, opt SubstituteOptions) (*Graph, SubstituteStats) 
 		cost := make([]float64, len(candidates))
 		for i, cand := range candidates {
 			t := g.OpType(cand.consumer)
-			fusedArity := len(g.opInputs[cand.consumer]) + len(g.opInputs[cand.producer]) - 1
+			fusedArity := g.NumOpInputs(cand.consumer) + g.NumOpInputs(cand.producer) - 1
 			if fusedArity > opt.MaxOperands {
 				fusedArity = opt.MaxOperands
 			}
@@ -112,7 +112,7 @@ func SubstituteNodes(g *Graph, opt SubstituteOptions) (*Graph, SubstituteStats) 
 	flat := make([][]NodeID, len(g.nodes))
 	absorbed := make([]bool, len(g.nodes))
 	for _, c := range g.TopoOps() {
-		ins := g.opInputs[c]
+		ins := g.ins(c)
 		t := g.OpType(c)
 		out := make([]NodeID, 0, len(ins))
 		out = append(out, ins...)
@@ -172,14 +172,15 @@ func SubstituteNodes(g *Graph, opt SubstituteOptions) (*Graph, SubstituteStats) 
 			}
 			mapped[i] = m
 		}
-		oldOut := g.opOutput[opID]
+		oldOut := g.OpOutput(opID)
+		t := g.OpType(opID)
 		var newOut NodeID
-		if len(mapped) == 1 && !g.nodes[id].op.IsUnary() {
+		if len(mapped) == 1 && !t.IsUnary() {
 			// Dedup collapsed a binary op to a single distinct operand
 			// (e.g. AND(x,x)); emit a copy to preserve the operand.
 			newOut = n2.AddOpNamed(logic.Copy, g.Name(oldOut), mapped[0])
 		} else {
-			newOut = n2.AddOpNamed(g.nodes[id].op, g.Name(oldOut), mapped...)
+			newOut = n2.AddOpNamed(t, g.Name(oldOut), mapped...)
 		}
 		remap[oldOut] = newOut
 		if len(mapped) > stats.MaxArity {
@@ -264,8 +265,8 @@ func LowerToNAND(g *Graph) (*Graph, NANDLowerStats) {
 		if g.nodes[id].kind != KindOp {
 			continue
 		}
-		ins := make([]Val, len(g.opInputs[opID]))
-		for i, in := range g.opInputs[opID] {
+		ins := make([]Val, g.NumOpInputs(opID))
+		for i, in := range g.ins(opID) {
 			v := remap[in]
 			if v == lost {
 				panic(fmt.Sprintf("dfg: lowering lost operand %q", g.Name(in)))
@@ -273,7 +274,7 @@ func LowerToNAND(g *Graph) (*Graph, NANDLowerStats) {
 			ins[i] = v
 		}
 		var out Val
-		switch t := g.nodes[id].op; t {
+		switch t := g.OpType(opID); t {
 		case logic.And, logic.Nand:
 			out = b.OpN(t, ins...)
 		case logic.Not, logic.Copy:
@@ -298,7 +299,7 @@ func LowerToNAND(g *Graph) (*Graph, NANDLowerStats) {
 		default:
 			panic(fmt.Sprintf("dfg: lowering unknown op %v", t))
 		}
-		remap[g.opOutput[opID]] = out
+		remap[g.OpOutput(opID)] = out
 	}
 	for i, o := range g.outputs {
 		v := remap[o]

@@ -24,9 +24,8 @@ import "sherlock/internal/readyq"
 // the pooled queue; it is safe to call once the walk is done or abandoned.
 type ReadyWalker struct {
 	g       *Graph
+	d       *derived // consumers and b-levels of g
 	q       *readyq.Queue
-	bl      []int32
-	maxBL   int32
 	pending []int32
 	batch   []NodeID
 	emitted int
@@ -36,17 +35,12 @@ type ReadyWalker struct {
 // the queue with every op whose inputs are all kernel inputs, in creation
 // order.
 func (g *Graph) NewReadyWalker() *ReadyWalker {
-	g.mu.Lock()
-	g.ensureBLevels()
-	bl, maxBL := g.blCache, g.maxBL
-	g.mu.Unlock()
-
+	d := g.derivedCache()
 	w := &ReadyWalker{
 		g:       g,
-		bl:      bl,
-		maxBL:   maxBL,
+		d:       d,
 		pending: make([]int32, len(g.nodes)),
-		q:       readyq.Get(len(g.nodes), int(maxBL)+1),
+		q:       readyq.Get(len(g.nodes), int(d.maxBL)+1),
 	}
 	for id := range g.nodes {
 		if g.nodes[id].kind != KindOp {
@@ -54,14 +48,14 @@ func (g *Graph) NewReadyWalker() *ReadyWalker {
 		}
 		op := NodeID(id)
 		n := int32(0)
-		for _, in := range g.opInputs[op] {
-			if g.producer[in] != NoNode {
+		for _, in := range g.ins(op) {
+			if g.nodes[in].link != int32(NoNode) {
 				n++
 			}
 		}
 		w.pending[op] = n
 		if n == 0 {
-			w.q.Push(int32(op), maxBL-bl[op])
+			w.q.Push(int32(op), d.maxBL-d.bl[op])
 		}
 	}
 	return w
@@ -74,11 +68,12 @@ func (w *ReadyWalker) Next(window int) []NodeID {
 	if window < 1 {
 		window = 1
 	}
+	d := w.d
 	for _, op := range w.batch { // retire: wake the window's dependents
-		for _, c := range w.g.consumers[w.g.opOutput[op]] {
+		for _, c := range d.consumers(NodeID(w.g.nodes[op].link)) {
 			w.pending[c]--
 			if w.pending[c] == 0 {
-				w.q.Push(int32(c), w.maxBL-w.bl[c])
+				w.q.Push(int32(c), d.maxBL-d.bl[c])
 			}
 		}
 	}

@@ -180,7 +180,11 @@ func BenchmarkServeMixedLoad(b *testing.B) {
 		// The HTTP shape: map-keyed requests through the service. Batches
 		// merge, but every caller still pays the per-vector map tax at
 		// admission and demux — the reason the packed facade exists.
-		svc := NewService(Config{Backend: BackendCIM, Window: 5 * time.Millisecond})
+		// Packing maps on 64 goroutines can take longer than a 5 ms
+		// window to fill a batch, so the window here is a backstop far
+		// above a round's length: every lockstep round fills its batches
+		// by size, and the window's one wait falls in the warm-up wave.
+		svc := NewService(Config{Backend: BackendCIM, Window: 100 * time.Millisecond})
 		entries := benchEntries(b, svc.Registry())
 		traffic := benchTraffic(b, entries)
 		do := func(caller int, req benchReq) error {
